@@ -238,26 +238,6 @@ impl CardinalityCurve {
         }
     }
 
-    /// Cumulative curve from per-distance f32 increments, accumulated
-    /// left-to-right in f64 — the exact arithmetic of
-    /// [`CardNetModel::infer_sum`], so `last()` is bit-identical to the
-    /// scalar path.
-    pub fn from_f32_increments(dist: &[f32]) -> CardinalityCurve {
-        let mut values = Vec::with_capacity(dist.len());
-        let mut acc = 0.0f64;
-        for &v in dist {
-            acc += f64::from(v);
-            values.push(acc);
-        }
-        CardinalityCurve::from_values(values)
-    }
-
-    /// Non-cumulative curve: each step is a direct prediction (the
-    /// −incremental ablation, which forfeits monotonicity).
-    pub fn from_f32_direct(dist: &[f32]) -> CardinalityCurve {
-        CardinalityCurve::from_values(dist.iter().map(|&v| f64::from(v)).collect())
-    }
-
     /// The value at the queried threshold — what `estimate` returns.
     pub fn last(&self) -> f64 {
         *self.values.last().expect("curves are non-empty")
@@ -583,23 +563,13 @@ impl CardNetEstimator {
         }
         let x = self.batch_feature_matrix(prepared);
         let dist = self.model.infer_dist_batch_with(&self.store, &x, par);
-        let n_out = self.model.config.n_out;
-        let incremental = self.model.config.incremental;
         let source: Arc<str> = CardinalityEstimator::name(self).into();
         thetas
             .iter()
             .enumerate()
             .map(|(r, &theta)| {
-                let tau = self.fx.map_threshold(theta).min(n_out - 1);
-                let value = if incremental {
-                    let mut acc = 0.0f64;
-                    for j in 0..=tau {
-                        acc += f64::from(dist.get(r, j));
-                    }
-                    acc
-                } else {
-                    f64::from(dist.get(r, tau))
-                };
+                let tau = self.threshold_step(theta);
+                let value = self.model.estimate_from(&dist.row(r)[..=tau]);
                 Estimate::exact(value).with_source(Arc::clone(&source))
             })
             .collect()
@@ -616,15 +586,8 @@ impl CardNetEstimator {
         }
         let x = self.batch_feature_matrix(prepared);
         let dist = self.model.infer_dist_batch_with(&self.store, &x, par);
-        let incremental = self.model.config.incremental;
         (0..prepared.len())
-            .map(|r| {
-                if incremental {
-                    CardinalityCurve::from_f32_increments(dist.row(r))
-                } else {
-                    CardinalityCurve::from_f32_direct(dist.row(r))
-                }
-            })
+            .map(|r| self.model.curve_from(dist.row(r)))
             .collect()
     }
 }
@@ -664,12 +627,8 @@ impl CardinalityEstimator for CardNetView<'_> {
         // bits but do not cache encoder state.
         let tau = self.threshold_step(theta);
         let x = prepared_feature_matrix(self.fx, self.view_id, prepared);
-        let dist = self.trainer.model.infer_dist(&self.trainer.store, &x, tau);
-        if self.trainer.model.config.incremental {
-            CardinalityCurve::from_f32_increments(&dist)
-        } else {
-            CardinalityCurve::from_f32_direct(&dist)
-        }
+        let model = &self.trainer.model;
+        model.curve_from(&model.infer_dist(&self.trainer.store, &x, tau))
     }
 
     fn threshold_step(&self, theta: f64) -> usize {
@@ -723,11 +682,7 @@ impl CardinalityEstimator for CardNetEstimator {
         let tau = self.threshold_step(theta);
         let state = self.embeddings(prepared);
         let dist = self.model.decode_prefix(&self.store, &state.z_all, tau);
-        if self.model.config.incremental {
-            CardinalityCurve::from_f32_increments(&dist)
-        } else {
-            CardinalityCurve::from_f32_direct(&dist)
-        }
+        self.model.curve_from(&dist)
     }
 
     fn threshold_step(&self, theta: f64) -> usize {
@@ -745,9 +700,9 @@ impl CardinalityEstimator for CardNetEstimator {
         self.model.infer_sum(&self.store, &x, tau)
     }
 
-    /// One batched kernel run for the whole batch: per-row arithmetic
-    /// mirrors [`CardNetModel::infer_sum`] exactly (left-to-right f64 prefix
-    /// sum over decoders `0..=τ`), so batched estimates are bit-identical to
+    /// One batched kernel run for the whole batch: each row is summed over
+    /// decoders `0..=τ` by the same prefix-sum rule as
+    /// [`CardNetModel::infer_sum`], so batched estimates are bit-identical to
     /// the scalar path — the invariant the serving layer's cache relies on.
     fn estimate_batch(&self, prepared: &[&PreparedQuery], thetas: &[f64]) -> Vec<Estimate> {
         self.estimate_batch_impl(prepared, thetas, self.par)

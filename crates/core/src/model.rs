@@ -16,11 +16,12 @@
 
 use std::time::Instant;
 
-use cardest_nn::kernels::partition_rows;
 use cardest_nn::layers::{Activation, Dense, Mlp};
 use cardest_nn::{init, Matrix, Parallelism, ParamId, ParamStore, Tape, Vae, VaeConfig, Var};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+
+use crate::estimator::CardinalityCurve;
 
 /// Which encoder topology to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -334,75 +335,49 @@ impl CardNetModel {
         tape.matmul(dist, tri)
     }
 
-    /// Inference fast path: per-distance predictions for one query (row
-    /// vector `1 × d`), deterministic (VAE mean latent). Only the first
-    /// `tau + 1` decoders are evaluated for the shared encoder — the paper's
+    /// Inference fast path: per-distance predictions `ĉ_0 … ĉ_τ` for one
+    /// query (row vector `1 × d`), deterministic (VAE mean latent). The
+    /// shared encoder embeds only distances `0..=τ` — the paper's
     /// `O((τ+1)|Φ|)` cost — while the accelerated encoder computes all
     /// embeddings in one pass (`O(|Φ′|)`).
     pub fn infer_dist(&self, store: &ParamStore, x: &Matrix, tau: usize) -> Vec<f32> {
-        crate::metrics::record_encoder_pass();
-        crate::metrics::record_decoder_calls(tau.min(self.config.n_out - 1) as u64 + 1);
-        let tau = tau.min(self.config.n_out - 1);
-        let xprime = match &self.vae {
-            Some(vae) => {
-                let mu = vae.latent_mean(store, x);
-                Matrix::hconcat(&[x, &mu])
-            }
-            None => x.clone(),
-        };
-        let e = store.value(self.e);
-        let dec_w = store.value(self.dec_w);
-        let dec_b = store.value(self.dec_b);
-
-        match (&self.phi, &self.phi_a) {
-            (Some(phi), _) => (0..=tau)
-                .map(|i| {
-                    let mut xi = Matrix::zeros(x.rows(), xprime.cols() + self.config.e_dim);
-                    for r in 0..x.rows() {
-                        let row = xi.row_mut(r);
-                        row[..xprime.cols()].copy_from_slice(xprime.row(r));
-                        row[xprime.cols()..].copy_from_slice(e.row(i));
-                    }
-                    let z = phi.infer(store, &xi);
-                    decode_row(z.row(0), dec_w, dec_b, i)
-                })
-                .collect(),
-            (None, Some(pa)) => {
-                let mut h = xprime;
-                let mut blocks: Vec<Matrix> = Vec::with_capacity(pa.hidden.len());
-                for (layer, &head) in pa.hidden.iter().zip(&pa.heads) {
-                    h = layer.infer(store, &h);
-                    blocks.push(h.matmul(store.value(head)));
-                }
-                (0..=tau)
-                    .map(|i| {
-                        let mut z = Matrix::zeros(1, self.config.z_dim);
-                        let mut at = 0;
-                        for (block, &r) in blocks.iter().zip(&pa.regions) {
-                            let zr = z.row_mut(0);
-                            for (k, v) in zr[at..at + r].iter_mut().enumerate() {
-                                *v = block.get(0, i * r + k).max(0.0);
-                            }
-                            at += r;
-                        }
-                        decode_row(z.row(0), dec_w, dec_b, i)
-                    })
-                    .collect()
-            }
-            _ => unreachable!("model has exactly one encoder"),
-        }
+        let n_dist = tau.min(self.config.n_out - 1) + 1;
+        let z = self.embed(store, x, n_dist, Parallelism::serial());
+        self.decode(store, &z, n_dist)
     }
 
     /// The estimate at threshold τ: the prefix sum `Σ_{i≤τ} g_i(x)` (Eq. 1)
     /// for incremental models, or the τ-th decoder directly for the
     /// −incremental ablation.
     pub fn infer_sum(&self, store: &ParamStore, x: &Matrix, tau: usize) -> f64 {
-        let dist = self.infer_dist(store, x, tau);
-        if self.config.incremental {
-            dist.iter().map(|&v| f64::from(v)).sum()
-        } else {
-            dist.last().map_or(0.0, |&v| f64::from(v))
-        }
+        self.estimate_from(&self.infer_dist(store, x, tau))
+    }
+
+    /// The estimate at the last threshold step of `dist` (decoder outputs
+    /// `ĉ_0 … ĉ_τ`).
+    pub(crate) fn estimate_from(&self, dist: &[f32]) -> f64 {
+        self.steps(dist).last().unwrap_or(0.0)
+    }
+
+    /// The threshold curve read off decoder outputs `ĉ_0 … ĉ_τ`.
+    pub(crate) fn curve_from(&self, dist: &[f32]) -> CardinalityCurve {
+        CardinalityCurve::from_values(self.steps(dist).collect())
+    }
+
+    /// Per-step estimates: left-to-right f64 prefix sums from `+0.0` for
+    /// incremental models, the decoder outputs themselves for the ablation.
+    /// Every CardNet estimate and curve is read off this one sum, which is
+    /// what keeps scalar, prepared and batched answers bit-identical.
+    fn steps<'a>(&self, dist: &'a [f32]) -> impl Iterator<Item = f64> + 'a {
+        let incremental = self.config.incremental;
+        dist.iter().scan(0.0f64, move |acc, &v| {
+            *acc = if incremental {
+                *acc + f64::from(v)
+            } else {
+                f64::from(v)
+            };
+            Some(*acc)
+        })
     }
 
     /// Full deterministic encoder pass for one query (row vector `1 × d`):
@@ -410,73 +385,16 @@ impl CardNetModel {
     /// `n_out × z_dim` matrix (output activations applied). This is the
     /// cacheable half of a prepared query: decoding any τ from the returned
     /// matrix via [`CardNetModel::decode_prefix`] reproduces
-    /// [`CardNetModel::infer_dist`] bit for bit, because each row is computed
-    /// with exactly the per-distance arithmetic of the single-shot path.
+    /// [`CardNetModel::infer_dist`] bit for bit, because both read the same
+    /// stacked embedding rows.
     pub fn encode_all(&self, store: &ParamStore, x: &Matrix) -> Matrix {
         self.encode_all_with(store, x, Parallelism::serial())
     }
 
-    /// [`CardNetModel::encode_all`] with an explicit kernel worker budget.
-    ///
-    /// For the shared encoder the `n_out` per-distance Φ passes are
-    /// independent, so they partition across workers — each embedding row is
-    /// still computed by the exact serial arithmetic, so the result is
+    /// [`CardNetModel::encode_all`] with an explicit kernel worker budget,
     /// bit-identical for any `par`.
     pub fn encode_all_with(&self, store: &ParamStore, x: &Matrix, par: Parallelism) -> Matrix {
-        crate::metrics::record_encoder_pass();
-        let t_enc = Instant::now();
-        let n_out = self.config.n_out;
-        let xprime = match &self.vae {
-            Some(vae) => {
-                let mu = vae.latent_mean(store, x);
-                Matrix::hconcat(&[x, &mu])
-            }
-            None => x.clone(),
-        };
-        let e = store.value(self.e);
-        let mut z_all = Matrix::zeros(n_out, self.config.z_dim);
-
-        match (&self.phi, &self.phi_a) {
-            (Some(phi), _) => {
-                let workers = par.workers(n_out, n_out * phi.num_params());
-                let z_dim = self.config.z_dim;
-                let xprime = &xprime;
-                partition_rows(z_all.as_mut_slice(), z_dim, workers, |first_row, chunk| {
-                    for (i_local, z_row) in chunk.chunks_mut(z_dim).enumerate() {
-                        let i = first_row + i_local;
-                        let mut xi = Matrix::zeros(x.rows(), xprime.cols() + self.config.e_dim);
-                        for r in 0..x.rows() {
-                            let row = xi.row_mut(r);
-                            row[..xprime.cols()].copy_from_slice(xprime.row(r));
-                            row[xprime.cols()..].copy_from_slice(e.row(i));
-                        }
-                        let z = phi.infer(store, &xi);
-                        z_row.copy_from_slice(z.row(0));
-                    }
-                });
-            }
-            (None, Some(pa)) => {
-                let mut h = xprime;
-                let mut blocks: Vec<Matrix> = Vec::with_capacity(pa.hidden.len());
-                for (layer, &head) in pa.hidden.iter().zip(&pa.heads) {
-                    h = layer.infer(store, &h);
-                    blocks.push(h.matmul(store.value(head)));
-                }
-                for i in 0..n_out {
-                    let zr = z_all.row_mut(i);
-                    let mut at = 0;
-                    for (block, &r) in blocks.iter().zip(&pa.regions) {
-                        for (k, v) in zr[at..at + r].iter_mut().enumerate() {
-                            *v = block.get(0, i * r + k).max(0.0);
-                        }
-                        at += r;
-                    }
-                }
-            }
-            _ => unreachable!("model has exactly one encoder"),
-        }
-        crate::metrics::record_encoder_time(t_enc.elapsed());
-        z_all
+        self.embed(store, x, self.config.n_out, par)
     }
 
     /// Per-distance predictions `ĉ_0 … ĉ_τ` decoded from a cached
@@ -484,16 +402,7 @@ impl CardNetModel {
     /// query. No encoder work happens here: a τ-sweep pays for the embeddings
     /// once and re-runs only these dot products.
     pub fn decode_prefix(&self, store: &ParamStore, z_all: &Matrix, tau: usize) -> Vec<f32> {
-        let tau = tau.min(self.config.n_out - 1);
-        crate::metrics::record_decoder_calls(tau as u64 + 1);
-        let t_dec = Instant::now();
-        let dec_w = store.value(self.dec_w);
-        let dec_b = store.value(self.dec_b);
-        let out = (0..=tau)
-            .map(|i| decode_row(z_all.row(i), dec_w, dec_b, i))
-            .collect();
-        crate::metrics::record_decoder_time(t_dec.elapsed());
-        out
+        self.decode(store, z_all, tau.min(self.config.n_out - 1) + 1)
     }
 
     /// Batched per-distance inference across all decoders: `n × n_out`
@@ -504,134 +413,104 @@ impl CardNetModel {
     }
 
     /// [`CardNetModel::infer_dist_batch`] with an explicit kernel worker
-    /// budget, bit-identical for any `par`.
-    ///
-    /// Large batches partition their **rows** across workers, each running
-    /// the full serial pipeline on its chunk — one spawn amortized over the
-    /// whole model, and every row's arithmetic is row-independent, so the
-    /// output matches the serial batch bit for bit. Small batches fall
-    /// through to kernel-level threading (which in turn stays serial below
-    /// its own work threshold).
+    /// budget, bit-identical for any `par` and to one
+    /// [`CardNetModel::infer_dist`] call per row.
     pub fn infer_dist_batch_with(
         &self,
         store: &ParamStore,
         x: &Matrix,
         par: Parallelism,
     ) -> Matrix {
-        crate::metrics::record_encoder_pass();
-        crate::metrics::record_decoder_calls((x.rows() * self.config.n_out) as u64);
-        let n = x.rows();
         let n_out = self.config.n_out;
-        // Per-row cost ≈ one multiply-add per parameter.
-        let workers = par.workers(n, n * store.num_scalars());
-        if workers <= 1 {
-            return self.infer_dist_batch_rows(store, x, par);
-        }
-        let d = x.cols();
-        let mut out = Matrix::zeros(n, n_out);
-        partition_rows(out.as_mut_slice(), n_out, workers, |first_row, chunk| {
-            let rows_here = chunk.len() / n_out;
-            let sub = Matrix::from_vec(
-                rows_here,
-                d,
-                x.as_slice()[first_row * d..(first_row + rows_here) * d].to_vec(),
-            );
-            // One worker per chunk, but a backend pinned by the caller must
-            // survive the coarse fan-out into the per-chunk kernels.
-            let dist = self.infer_dist_batch_rows(store, &sub, par.serial_worker());
-            chunk.copy_from_slice(dist.as_slice());
-        });
-        out
+        let z = self.embed(store, x, n_out, par);
+        Matrix::from_vec(x.rows(), n_out, self.decode(store, &z, x.rows() * n_out))
     }
 
-    /// The serial-order batch pipeline (no metrics recording; both the
-    /// serial and the row-partitioned paths of
-    /// [`CardNetModel::infer_dist_batch_with`] funnel through here).
-    fn infer_dist_batch_rows(&self, store: &ParamStore, x: &Matrix, par: Parallelism) -> Matrix {
-        let n_out = self.config.n_out;
-        // Encoder vs decoder wall time, accumulated across the interleaved
-        // per-distance loop and recorded once at the end (two clock reads
-        // per distance value — noise next to the matmuls they bracket).
-        let mut enc_ns = 0u64;
-        let mut dec_ns = 0u64;
-        let t0 = Instant::now();
+    /// The one inference encoder: deterministic embeddings (VAE mean latent)
+    /// of every input row `r` and distance `i < n_dist`, stacked so that row
+    /// `r·n_dist + i` holds `z_i` of input row `r`.
+    ///
+    /// Each (row, distance) pair runs through one tall matmul per layer, and
+    /// the kernels are what split that work across `par`'s workers. A row's
+    /// bits do not depend on which rows share its matmul: every backend
+    /// accumulates each output element in ascending `k` from `+0.0`, adds
+    /// the bias afterwards, and skips only exactly-zero terms. So one query
+    /// embedded alone, in a batch, or at any thread count gets the same
+    /// embeddings. Encoder time is recorded on the calling thread.
+    fn embed(&self, store: &ParamStore, x: &Matrix, n_dist: usize, par: Parallelism) -> Matrix {
+        crate::metrics::record_encoder_pass();
+        let t_enc = Instant::now();
         let xprime = match &self.vae {
-            Some(vae) => {
-                let mu = vae.latent_mean_with(store, x, par);
-                Matrix::hconcat(&[x, &mu])
-            }
+            Some(vae) => Matrix::hconcat(&[x, &vae.latent_mean_with(store, x, par)]),
             None => x.clone(),
         };
-        let e = store.value(self.e);
-        let dec_w = store.value(self.dec_w);
-        let dec_b = store.value(self.dec_b);
-        let n = x.rows();
-        let mut out = Matrix::zeros(n, n_out);
-        enc_ns += t0.elapsed().as_nanos() as u64;
-
-        match (&self.phi, &self.phi_a) {
+        let rows = x.rows() * n_dist;
+        let z = match (&self.phi, &self.phi_a) {
             (Some(phi), _) => {
-                for i in 0..n_out {
-                    let t_enc = Instant::now();
-                    let mut xi = Matrix::zeros(n, xprime.cols() + self.config.e_dim);
-                    for r in 0..n {
-                        let row = xi.row_mut(r);
-                        row[..xprime.cols()].copy_from_slice(xprime.row(r));
-                        row[xprime.cols()..].copy_from_slice(e.row(i));
-                    }
-                    let z = phi.infer_with(store, &xi, par);
-                    let t_dec = Instant::now();
-                    enc_ns += (t_dec - t_enc).as_nanos() as u64;
-                    for r in 0..n {
-                        let mut acc = dec_b.get(0, i);
-                        for (zv, wv) in z.row(r).iter().zip(dec_w.row(i)) {
-                            acc += zv * wv;
-                        }
-                        out.set(r, i, acc.max(0.0));
-                    }
-                    dec_ns += t_dec.elapsed().as_nanos() as u64;
+                // CardNet: Φ([x' ; e_i]) for every (row, distance) pair.
+                let e = store.value(self.e);
+                let xp = xprime.cols();
+                let mut xi = Matrix::zeros(rows, xp + self.config.e_dim);
+                for j in 0..rows {
+                    let row = xi.row_mut(j);
+                    row[..xp].copy_from_slice(xprime.row(j / n_dist));
+                    row[xp..].copy_from_slice(e.row(j % n_dist));
                 }
+                phi.infer_with(store, &xi, par)
             }
             (None, Some(pa)) => {
-                let t_enc = Instant::now();
+                // CardNet-A: one pass through the hidden chain; each layer's
+                // head emits its region of every embedding (Figure 4).
                 let mut h = xprime;
                 let mut blocks: Vec<Matrix> = Vec::with_capacity(pa.hidden.len());
                 for (layer, &head) in pa.hidden.iter().zip(&pa.heads) {
                     h = layer.infer_with(store, &h, par);
                     blocks.push(h.matmul_with(store.value(head), par));
                 }
-                enc_ns += t_enc.elapsed().as_nanos() as u64;
-                let t_dec = Instant::now();
-                for r in 0..n {
-                    for i in 0..n_out {
-                        let mut acc = dec_b.get(0, i);
-                        let mut at = 0;
-                        for (block, &rw) in blocks.iter().zip(&pa.regions) {
-                            for k in 0..rw {
-                                let zv = block.get(r, i * rw + k).max(0.0);
-                                acc += zv * dec_w.get(i, at + k);
-                            }
-                            at += rw;
+                let mut z = Matrix::zeros(rows, self.config.z_dim);
+                for j in 0..rows {
+                    let (r, i) = (j / n_dist, j % n_dist);
+                    let zr = z.row_mut(j);
+                    let mut at = 0;
+                    for (block, &w) in blocks.iter().zip(&pa.regions) {
+                        let region = &block.row(r)[i * w..(i + 1) * w];
+                        for (v, &b) in zr[at..at + w].iter_mut().zip(region) {
+                            *v = b.max(0.0);
                         }
-                        out.set(r, i, acc.max(0.0));
+                        at += w;
                     }
                 }
-                dec_ns += t_dec.elapsed().as_nanos() as u64;
+                z
             }
             _ => unreachable!("model has exactly one encoder"),
-        }
-        crate::metrics::record_encoder_time(std::time::Duration::from_nanos(enc_ns));
-        crate::metrics::record_decoder_time(std::time::Duration::from_nanos(dec_ns));
+        };
+        crate::metrics::record_encoder_time(t_enc.elapsed());
+        z
+    }
+
+    /// Decoder outputs `g_i(z) = ReLU(w_iᵀ z + b_i)` for the first `rows`
+    /// rows of stacked embeddings, row `j` through decoder `j mod n_out`:
+    /// a prefix of one query's rows, or every row of an
+    /// [`CardNetModel::embed`] with `n_dist = n_out`.
+    fn decode(&self, store: &ParamStore, z: &Matrix, rows: usize) -> Vec<f32> {
+        crate::metrics::record_decoder_calls(rows as u64);
+        let t_dec = Instant::now();
+        let n_out = self.config.n_out;
+        let dec_w = store.value(self.dec_w);
+        let dec_b = store.value(self.dec_b);
+        let out = (0..rows)
+            .map(|j| {
+                let i = j % n_out;
+                let mut acc = dec_b.get(0, i);
+                for (zv, wv) in z.row(j).iter().zip(dec_w.row(i)) {
+                    acc += zv * wv;
+                }
+                acc.max(0.0)
+            })
+            .collect();
+        crate::metrics::record_decoder_time(t_dec.elapsed());
         out
     }
-}
-
-fn decode_row(z: &[f32], dec_w: &Matrix, dec_b: &Matrix, i: usize) -> f32 {
-    let mut acc = dec_b.get(0, i);
-    for (zv, wv) in z.iter().zip(dec_w.row(i)) {
-        acc += zv * wv;
-    }
-    acc.max(0.0)
 }
 
 /// `matmul` against a `1 × k` row vector treated as `k × 1` — a tape helper
@@ -829,19 +708,31 @@ mod tests {
 
     #[test]
     fn batch_inference_matches_single_query() {
+        // Serve's cache and every batch-vs-scalar check rely on exact bits.
+        // The all-zero and all-one rows put the stacked operand's density on
+        // the other side of `matmul_with`'s sparse/dense dispatch from some
+        // single-row calls, so both kernel branches are compared.
+        let mut x = toy_x(5);
+        x.row_mut(3).fill(0.0);
+        x.row_mut(4).fill(1.0);
         for enc in [EncoderKind::Shared, EncoderKind::Accelerated] {
-            let (model, store) = toy_model(enc, true);
-            let x = toy_x(3);
-            let batch = model.infer_dist_batch(&store, &x);
-            for r in 0..3 {
-                let single = Matrix::from_vec(1, 12, x.row(r).to_vec());
-                let d = model.infer_dist(&store, &single, 4);
-                for (j, &v) in d.iter().enumerate() {
-                    assert!(
-                        (batch.get(r, j) - v).abs() < 1e-4,
-                        "{enc:?} row {r} col {j}: {} vs {v}",
-                        batch.get(r, j)
-                    );
+            for with_vae in [false, true] {
+                let (model, store) = toy_model(enc, with_vae);
+                let batch = model.infer_dist_batch(&store, &x);
+                for r in 0..x.rows() {
+                    let single = Matrix::from_vec(1, 12, x.row(r).to_vec());
+                    for tau in 0..5 {
+                        let d = model.infer_dist(&store, &single, tau);
+                        assert_eq!(d.len(), tau + 1);
+                        for (j, &v) in d.iter().enumerate() {
+                            assert_eq!(
+                                batch.get(r, j).to_bits(),
+                                v.to_bits(),
+                                "{enc:?} vae={with_vae} row {r} τ={tau} col {j}: {} vs {v}",
+                                batch.get(r, j)
+                            );
+                        }
+                    }
                 }
             }
         }

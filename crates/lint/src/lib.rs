@@ -114,6 +114,7 @@ impl Config {
                 "infer_dist_batch".to_string(),
                 "estimate_batch".to_string(),
                 "estimate_batch_par".to_string(),
+                "curve_batch_par".to_string(),
             ],
         }
     }

@@ -848,27 +848,31 @@ impl Q {
 
     #[test]
     fn guard_held_across_kernel_entry_call_is_flagged() {
-        let src = r#"
+        for call in ["k.estimate_batch(&[])", "k.curve_batch_par(&[], par)"] {
+            let src = format!(
+                r#"
 use std::sync::Mutex;
-pub struct S { cache: Mutex<u64> }
-impl S {
-    pub fn answer(&self, k: &Kernel) -> u64 {
+pub struct S {{ cache: Mutex<u64> }}
+impl S {{
+    pub fn answer(&self, k: &Kernel, par: Par) -> u64 {{
         let g = self.cache.lock().unwrap();
-        let _ = k.estimate_batch(&[]);
+        let _ = {call};
         *g
-    }
-}
-"#;
-        let (_, findings) = graph_of(&[("crates/app/src/lib.rs", src)]);
-        let hits: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == Rule::GuardBlocking)
-            .collect();
-        assert_eq!(hits.len(), 1, "{findings:?}");
-        assert!(
-            hits[0].message.contains("kernel entry"),
-            "{}",
-            hits[0].message
-        );
+    }}
+}}
+"#
+            );
+            let (_, findings) = graph_of(&[("crates/app/src/lib.rs", &src)]);
+            let hits: Vec<_> = findings
+                .iter()
+                .filter(|f| f.rule == Rule::GuardBlocking)
+                .collect();
+            assert_eq!(hits.len(), 1, "{call}: {findings:?}");
+            assert!(
+                hits[0].message.contains("kernel entry"),
+                "{call}: {}",
+                hits[0].message
+            );
+        }
     }
 }

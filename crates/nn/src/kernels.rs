@@ -357,10 +357,9 @@ impl Parallelism {
 /// thread when `workers <= 1`, else across `std::thread::scope` workers (the
 /// calling thread takes the first chunk instead of idling).
 ///
-/// Each row is handed to exactly one worker, which is what lets higher-level
-/// fan-outs (per-distance encoder passes, per-query evaluation) stay
-/// bit-identical to their serial order.
-pub fn partition_rows<F>(out: &mut [f32], row_len: usize, workers: usize, task: F)
+/// Each row is handed to exactly one worker running the serial code, which
+/// is what keeps the threaded kernels bit-identical to their serial order.
+fn partition_rows<F>(out: &mut [f32], row_len: usize, workers: usize, task: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {

@@ -1,6 +1,6 @@
 //! The request path: a worker pool that drains an mpsc queue into
-//! micro-batches, probes the monotone cache, and runs per-distance decoding
-//! **once per batch** instead of once per query.
+//! micro-batches, probes the monotone cache, and runs the model **once per
+//! batch** instead of once per query.
 //!
 //! Batching changes the arithmetic *layout*, not the arithmetic: the batched
 //! kernel ([`cardest_core::CardNetModel::infer_dist_batch`]) computes each
@@ -792,10 +792,9 @@ fn serve_group(
     // Model span: the whole batched kernel call's wall clock, attributed to
     // every job it answered (the batch is the unit of compute — each job's
     // latency really did include the full call). The encoder/decoder
-    // sub-spans come from this thread's `ApiCounters` timing delta, which
-    // captures the kernel work exactly at `kernel_threads: 1` (the default;
-    // threaded kernels run part of the work on scoped threads this
-    // thread-local meter cannot see).
+    // sub-spans come from this thread's `ApiCounters` timing delta: the
+    // model times its whole stacked encoder call and its decoder sweep on
+    // the calling thread, so the split holds at any `kernel_threads`.
     let meter_before = traced.then(cardest_core::metrics::ApiCounters::snapshot);
     let t_model = traced.then(Instant::now);
     if let Some(tm) = t_model {
