@@ -562,14 +562,21 @@ impl CardNetEstimator {
             return Vec::new();
         }
         let x = self.batch_feature_matrix(prepared);
-        let dist = self.model.infer_dist_batch_with(&self.store, &x, par);
-        let source: Arc<str> = CardinalityEstimator::name(self).into();
-        thetas
+        // Each row embeds only the distances its answer reads.
+        let n_dists: Vec<usize> = thetas
             .iter()
-            .enumerate()
-            .map(|(r, &theta)| {
-                let tau = self.threshold_step(theta);
-                let value = self.model.estimate_from(&dist.row(r)[..=tau]);
+            .map(|&theta| self.threshold_step(theta) + 1)
+            .collect();
+        let dist = self
+            .model
+            .infer_dist_prefixes(&self.store, &x, &n_dists, par);
+        let source: Arc<str> = CardinalityEstimator::name(self).into();
+        let mut at = 0;
+        n_dists
+            .iter()
+            .map(|&n| {
+                let value = self.model.estimate_from(&dist[at..at + n]);
+                at += n;
                 Estimate::exact(value).with_source(Arc::clone(&source))
             })
             .collect()
@@ -700,10 +707,12 @@ impl CardinalityEstimator for CardNetEstimator {
         self.model.infer_sum(&self.store, &x, tau)
     }
 
-    /// One batched kernel run for the whole batch: each row is summed over
-    /// decoders `0..=τ` by the same prefix-sum rule as
-    /// [`CardNetModel::infer_sum`], so batched estimates are bit-identical to
-    /// the scalar path — the invariant the serving layer's cache relies on.
+    /// One batched encoder pass for the whole batch that embeds each row's
+    /// distances `0..=τ` only, so a batch costs `Σ(τ_r + 1)` Φ rows like the
+    /// scalar calls it replaces. Each row is summed over decoders `0..=τ` by
+    /// the same prefix-sum rule as [`CardNetModel::infer_sum`], so batched
+    /// estimates are bit-identical to the scalar path — the invariant the
+    /// serving layer's cache relies on.
     fn estimate_batch(&self, prepared: &[&PreparedQuery], thetas: &[f64]) -> Vec<Estimate> {
         self.estimate_batch_impl(prepared, thetas, self.par)
     }

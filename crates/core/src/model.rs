@@ -342,8 +342,7 @@ impl CardNetModel {
     /// embeddings in one pass (`O(|Φ′|)`).
     pub fn infer_dist(&self, store: &ParamStore, x: &Matrix, tau: usize) -> Vec<f32> {
         let n_dist = tau.min(self.config.n_out - 1) + 1;
-        let z = self.embed(store, x, n_dist, Parallelism::serial());
-        self.decode(store, &z, n_dist)
+        self.infer_dist_prefixes(store, x, &[n_dist], Parallelism::serial())
     }
 
     /// The estimate at threshold τ: the prefix sum `Σ_{i≤τ} g_i(x)` (Eq. 1)
@@ -394,7 +393,7 @@ impl CardNetModel {
     /// [`CardNetModel::encode_all`] with an explicit kernel worker budget,
     /// bit-identical for any `par`.
     pub fn encode_all_with(&self, store: &ParamStore, x: &Matrix, par: Parallelism) -> Matrix {
-        self.embed(store, x, self.config.n_out, par)
+        self.embed(store, x, &vec![self.config.n_out; x.rows()], par)
     }
 
     /// Per-distance predictions `ĉ_0 … ĉ_τ` decoded from a cached
@@ -402,12 +401,12 @@ impl CardNetModel {
     /// query. No encoder work happens here: a τ-sweep pays for the embeddings
     /// once and re-runs only these dot products.
     pub fn decode_prefix(&self, store: &ParamStore, z_all: &Matrix, tau: usize) -> Vec<f32> {
-        self.decode(store, z_all, tau.min(self.config.n_out - 1) + 1)
+        self.decode(store, z_all, 0..=tau.min(self.config.n_out - 1))
     }
 
     /// Batched per-distance inference across all decoders: `n × n_out`
     /// matrix. Used by validation (dynamic-ω updates need per-column losses)
-    /// and by the batch-first estimation path (one encoder pass per batch).
+    /// and by full-curve batches (one encoder pass per batch).
     pub fn infer_dist_batch(&self, store: &ParamStore, x: &Matrix) -> Matrix {
         self.infer_dist_batch_with(store, x, Parallelism::serial())
     }
@@ -422,41 +421,92 @@ impl CardNetModel {
         par: Parallelism,
     ) -> Matrix {
         let n_out = self.config.n_out;
-        let z = self.embed(store, x, n_out, par);
-        Matrix::from_vec(x.rows(), n_out, self.decode(store, &z, x.rows() * n_out))
+        let n_dists = vec![n_out; x.rows()];
+        Matrix::from_vec(
+            x.rows(),
+            n_out,
+            self.infer_dist_prefixes(store, x, &n_dists, par),
+        )
+    }
+
+    /// Per-distance predictions `ĉ_0 … ĉ_{n_dists[r]−1}` of every input row
+    /// `r`, concatenated row after row: one encoder pass that embeds only the
+    /// distances each row's answer reads. Bit-identical to one
+    /// [`CardNetModel::infer_dist`] call per row, for any `par`.
+    pub(crate) fn infer_dist_prefixes(
+        &self,
+        store: &ParamStore,
+        x: &Matrix,
+        n_dists: &[usize],
+        par: Parallelism,
+    ) -> Vec<f32> {
+        let z = self.embed(store, x, n_dists, par);
+        self.decode(store, &z, n_dists.iter().flat_map(|&n| 0..n))
     }
 
     /// The one inference encoder: deterministic embeddings (VAE mean latent)
-    /// of every input row `r` and distance `i < n_dist`, stacked so that row
-    /// `r·n_dist + i` holds `z_i` of input row `r`.
+    /// of input row `r` at distances `0..n_dists[r]`, stacked ragged in row
+    /// order, so row `r`'s `z_i` sits at stacked row `Σ_{s<r} n_dists[s] + i`.
+    /// A caller embeds exactly the distances its answer reads.
     ///
-    /// Each (row, distance) pair runs through one tall matmul per layer, and
-    /// the kernels are what split that work across `par`'s workers. A row's
-    /// bits do not depend on which rows share its matmul: every backend
-    /// accumulates each output element in ascending `k` from `+0.0`, adds
-    /// the bias afterwards, and skips only exactly-zero terms. So one query
-    /// embedded alone, in a batch, or at any thread count gets the same
+    /// CardNet splits Φ's first layer along its inner dimension `[x′ ; e_i]`.
+    /// The `x′ · W₁[..xp]` half does not depend on `i`, so it runs once per
+    /// input row; each stacked `(r, i)` accumulator then starts from that
+    /// partial sum and continues through `e_i · W₁[xp..]` in ascending `k`.
+    /// Both halves take one zero-skip decision, `W₁.all_finite()`, so every
+    /// output element receives the additions of the stacked `[x′ ; e_i] · W₁`
+    /// product in the same order, with the same bits, finite weights or not.
+    /// Bias, activation and the later layers then run on the stacked rows.
+    /// CardNet-A runs its one Φ′ pass and gathers the stacked rows' regions.
+    ///
+    /// A row's bits do not depend on which rows share its matmuls: every
+    /// backend accumulates each output element in ascending `k` from `+0.0`,
+    /// adds the bias afterwards, and skips only exactly-zero terms. So one
+    /// query embedded alone, in a batch, or at any thread count gets the same
     /// embeddings. Encoder time is recorded on the calling thread.
-    fn embed(&self, store: &ParamStore, x: &Matrix, n_dist: usize, par: Parallelism) -> Matrix {
+    fn embed(&self, store: &ParamStore, x: &Matrix, n_dists: &[usize], par: Parallelism) -> Matrix {
+        assert_eq!(x.rows(), n_dists.len(), "one distance count per input row");
         crate::metrics::record_encoder_pass();
         let t_enc = Instant::now();
         let xprime = match &self.vae {
             Some(vae) => Matrix::hconcat(&[x, &vae.latent_mean_with(store, x, par)]),
             None => x.clone(),
         };
-        let rows = x.rows() * n_dist;
+        let rows: usize = n_dists.iter().sum();
+        let stacked = || {
+            n_dists
+                .iter()
+                .enumerate()
+                .flat_map(|(r, &n)| (0..n).map(move |i| (r, i)))
+        };
         let z = match (&self.phi, &self.phi_a) {
             (Some(phi), _) => {
-                // CardNet: Φ([x' ; e_i]) for every (row, distance) pair.
+                // CardNet: Φ([x′ ; e_i]) with the first layer split at x′.
+                let (first, rest) = phi.layers.split_first().expect("Φ has a layer");
+                let w1 = store.value(first.w);
+                let skip_zeros = w1.all_finite();
+                let (w_x, w_e) = w1.as_slice().split_at(xprime.cols() * w1.cols());
+                let mut partial = Matrix::zeros(x.rows(), w1.cols());
+                xprime.matmul_acc_with(w_x, &mut partial, skip_zeros, par);
                 let e = store.value(self.e);
-                let xp = xprime.cols();
-                let mut xi = Matrix::zeros(rows, xp + self.config.e_dim);
-                for j in 0..rows {
-                    let row = xi.row_mut(j);
-                    row[..xp].copy_from_slice(xprime.row(j / n_dist));
-                    row[xp..].copy_from_slice(e.row(j % n_dist));
+                let mut e_rows = Matrix::zeros(rows, e.cols());
+                let mut h = Matrix::zeros(rows, w1.cols());
+                for (j, (r, i)) in stacked().enumerate() {
+                    e_rows.row_mut(j).copy_from_slice(e.row(i));
+                    h.row_mut(j).copy_from_slice(partial.row(r));
                 }
-                phi.infer_with(store, &xi, par)
+                e_rows.matmul_acc_with(w_e, &mut h, skip_zeros, par);
+                let b1 = store.value(first.b);
+                for j in 0..rows {
+                    for (v, &bias) in h.row_mut(j).iter_mut().zip(b1.row(0)) {
+                        *v += bias;
+                    }
+                }
+                first.activation.apply_matrix(&mut h);
+                for layer in rest {
+                    h = layer.infer_with(store, &h, par);
+                }
+                h
             }
             (None, Some(pa)) => {
                 // CardNet-A: one pass through the hidden chain; each layer's
@@ -468,8 +518,7 @@ impl CardNetModel {
                     blocks.push(h.matmul_with(store.value(head), par));
                 }
                 let mut z = Matrix::zeros(rows, self.config.z_dim);
-                for j in 0..rows {
-                    let (r, i) = (j / n_dist, j % n_dist);
+                for (j, (r, i)) in stacked().enumerate() {
                     let zr = z.row_mut(j);
                     let mut at = 0;
                     for (block, &w) in blocks.iter().zip(&pa.regions) {
@@ -488,19 +537,23 @@ impl CardNetModel {
         z
     }
 
-    /// Decoder outputs `g_i(z) = ReLU(w_iᵀ z + b_i)` for the first `rows`
-    /// rows of stacked embeddings, row `j` through decoder `j mod n_out`:
-    /// a prefix of one query's rows, or every row of an
-    /// [`CardNetModel::embed`] with `n_dist = n_out`.
-    fn decode(&self, store: &ParamStore, z: &Matrix, rows: usize) -> Vec<f32> {
-        crate::metrics::record_decoder_calls(rows as u64);
+    /// Decoder outputs `g_i(z) = ReLU(w_iᵀ z + b_i)` for stacked embedding
+    /// rows `0, 1, …`, row `j` through the decoder of the `j`-th entry of
+    /// `dists`: a prefix `0..=τ` of one query's rows, or the ragged
+    /// per-row prefixes of [`CardNetModel::embed`].
+    fn decode(
+        &self,
+        store: &ParamStore,
+        z: &Matrix,
+        dists: impl IntoIterator<Item = usize>,
+    ) -> Vec<f32> {
         let t_dec = Instant::now();
-        let n_out = self.config.n_out;
         let dec_w = store.value(self.dec_w);
         let dec_b = store.value(self.dec_b);
-        let out = (0..rows)
-            .map(|j| {
-                let i = j % n_out;
+        let out: Vec<f32> = dists
+            .into_iter()
+            .enumerate()
+            .map(|(j, i)| {
                 let mut acc = dec_b.get(0, i);
                 for (zv, wv) in z.row(j).iter().zip(dec_w.row(i)) {
                     acc += zv * wv;
@@ -508,6 +561,7 @@ impl CardNetModel {
                 acc.max(0.0)
             })
             .collect();
+        crate::metrics::record_decoder_calls(out.len() as u64);
         crate::metrics::record_decoder_time(t_dec.elapsed());
         out
     }
@@ -674,9 +728,9 @@ mod tests {
 
     #[test]
     fn batch_row_partition_is_bit_identical() {
-        // The row-partitioned batch pipeline (and the per-distance encoder
-        // fan-out) must reproduce the serial batch bit for bit, whatever the
-        // worker count — including workers that don't divide the row count.
+        // The stacked encoder and its kernels, split across workers, must
+        // reproduce the serial batch bit for bit, whatever the worker count —
+        // including workers that don't divide the row count.
         for enc in [EncoderKind::Shared, EncoderKind::Accelerated] {
             for with_vae in [false, true] {
                 let (model, store) = toy_model(enc, with_vae);
@@ -733,6 +787,53 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_first_layer_matches_stacked_reference_with_nonfinite_weights() {
+        // A NaN in W₁, among the e rows or among the x′ rows, turns the zero
+        // skip off for both halves of the split first layer. The all-zero
+        // input row then meets it through 0·NaN terms that a skip would drop.
+        let mut x = toy_x(4);
+        x.row_mut(1).fill(0.0);
+        for with_vae in [false, true] {
+            let (model, store) = toy_model(EncoderKind::Shared, with_vae);
+            let phi = model.phi.as_ref().expect("shared encoder");
+            let w1 = phi.layers[0].w;
+            let xprime = match model.vae() {
+                Some(vae) => Matrix::hconcat(&[&x, &vae.latent_mean(&store, &x)]),
+                None => x.clone(),
+            };
+            let (xp, n_out) = (xprime.cols(), model.config.n_out);
+            for poisoned in [xp + 2, 3] {
+                let mut store = store.clone();
+                store.value_mut(w1).set(poisoned, 5, f32::NAN);
+                let e = store.value(model.e);
+                let stacked = Matrix::from_fn(x.rows() * n_out, xp + e.cols(), |j, c| {
+                    if c < xp {
+                        xprime.get(j / n_out, c)
+                    } else {
+                        e.get(j % n_out, c - xp)
+                    }
+                });
+                assert!(stacked
+                    .matmul(store.value(w1))
+                    .as_slice()
+                    .iter()
+                    .any(|v| v.is_nan()));
+                let z = phi.infer_with(&store, &stacked, Parallelism::serial());
+                let dists = (0..x.rows()).flat_map(|_| 0..n_out);
+                let want = model.decode(&store, &z, dists);
+                let got = model.infer_dist_batch(&store, &x);
+                assert_eq!(got.len(), want.len());
+                for (j, (a, b)) in want.iter().zip(got.as_slice()).enumerate() {
+                    assert!(
+                        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                        "vae={with_vae} NaN in W₁ row {poisoned}: output {j}: {a} vs {b}"
+                    );
                 }
             }
         }

@@ -400,12 +400,36 @@ impl Matrix {
             other.rows(),
             other.cols()
         );
-        let t_kernel = std::time::Instant::now();
+        let mut out = Matrix::zeros(self.rows(), other.cols());
         // Same batch-level finiteness rule as the scalar kernel: the sparse
         // skip is only sound when no skipped term could hide a 0·NaN / 0·∞.
-        let skip_zeros = other.all_finite();
-        let mut out = Matrix::zeros(self.rows(), other.cols());
-        let n = other.cols();
+        self.matmul_acc_with(other.as_slice(), &mut out, other.all_finite(), par);
+        out
+    }
+
+    /// `acc += self @ b`, where `b` is a row-major `self.cols() × acc.cols()`
+    /// slice: each output element continues from its current value in `acc`
+    /// through ascending `k`, skipping `a == 0.0` terms when `skip_zeros`.
+    ///
+    /// Splitting the inner dimension into consecutive calls,
+    /// `A₁ @ B₁` into a zeroed `acc` and then `A₂ @ B₂` into the same `acc`,
+    /// gives the bits of [`Matrix::matmul`] on `[A₁ | A₂] @ [B₁ ; B₂]` when
+    /// every call passes that product's zero-skip decision, `all_finite()`
+    /// over the whole right operand. The caller owns that decision because
+    /// no single call sees the whole operand. Bit-identical for any `par`.
+    pub fn matmul_acc_with(&self, b: &[f32], acc: &mut Matrix, skip_zeros: bool, par: Parallelism) {
+        assert_eq!(self.rows(), acc.rows(), "matmul_acc row mismatch");
+        assert_eq!(
+            b.len(),
+            self.cols() * acc.cols(),
+            "matmul_acc shape mismatch: {}x{} @ {} values into {} columns",
+            self.rows(),
+            self.cols(),
+            b.len(),
+            acc.cols()
+        );
+        let t_kernel = std::time::Instant::now();
+        let n = acc.cols();
         let k = self.cols();
         let backend = par.backend();
         // Per-call kernel choice — all orders are bit-identical, so this is
@@ -419,19 +443,18 @@ impl Matrix {
         };
         let work = self.rows() * k * n;
         let workers = par.workers(self.rows(), work);
-        partition_rows(out.as_mut_slice(), n, workers, |first_row, chunk| {
-            let (ad, bd) = (self.as_slice(), other.as_slice());
+        partition_rows(acc.as_mut_slice(), n, workers, |first_row, chunk| {
+            let ad = self.as_slice();
             match backend {
                 KernelBackend::Scalar => {
-                    matmul_rows_saxpy(ad, k, bd, n, first_row, chunk, skip_zeros)
+                    matmul_rows_saxpy(ad, k, b, n, first_row, chunk, skip_zeros)
                 }
-                _ if sparse_left => matmul_rows_saxpy(ad, k, bd, n, first_row, chunk, true),
-                KernelBackend::Blocked => matmul_rows(ad, k, bd, n, first_row, chunk, skip_zeros),
-                KernelBackend::Simd => matmul_rows_simd(ad, k, bd, n, first_row, chunk, skip_zeros),
+                _ if sparse_left => matmul_rows_saxpy(ad, k, b, n, first_row, chunk, true),
+                KernelBackend::Blocked => matmul_rows(ad, k, b, n, first_row, chunk, skip_zeros),
+                KernelBackend::Simd => matmul_rows_simd(ad, k, b, n, first_row, chunk, skip_zeros),
             }
         });
         timing::record(t_kernel.elapsed());
-        out
     }
 
     /// `selfᵀ @ other` through the row-partitioned kernel. Bit-identical to
@@ -529,13 +552,15 @@ impl Matrix {
     }
 }
 
-/// Blocked `matmul` over output rows `first_row ..` of `a @ b`, writing into
-/// `out` (a contiguous chunk of the output, `len = rows_here * n`).
+/// Blocked `matmul` over output rows `first_row ..` of `a @ b`, accumulating
+/// into `out` (a contiguous chunk of the output, `len = rows_here * n`).
 ///
-/// Register micro-tiles of `MR × NR` accumulators; the inner dimension `k`
-/// runs ascending over the *full* range for each tile, and the zero skip is
-/// decided per `(row, k)` exactly like the scalar kernel — so each output
-/// element sees the identical sequence of `f32` additions.
+/// Register micro-tiles of `MR × NR` accumulators, loaded from `out`; the
+/// inner dimension `k` runs ascending over the *full* range for each tile,
+/// and the zero skip is decided per `(row, k)` exactly like the scalar
+/// kernel — so each output element sees the identical sequence of `f32`
+/// additions. Every row kernel here adds onto `out` the same way, so a
+/// zeroed `out` gives the plain product.
 ///
 /// All three row kernels take raw slices + dimensions rather than `&Matrix`
 /// deliberately: slice parameters carry `noalias` guarantees at the function
@@ -639,11 +664,11 @@ fn matmul_t_rows_scalar(
     }
 }
 
-/// `M` rows of `a @ b` into `out` (`M * n` floats): fixed-width `M × NR`
-/// register tiles over full column tiles, a dynamic-width tail for the last
-/// partial tile. Per output element the accumulation is ascending `k` with
-/// the scalar kernel's zero-skip decision — identical op sequence, identical
-/// bits.
+/// `M` rows of `a @ b` added into `out` (`M * n` floats): fixed-width
+/// `M × NR` register tiles over full column tiles, a dynamic-width tail for
+/// the last partial tile. Per output element the accumulation is ascending
+/// `k` with the scalar kernel's zero-skip decision — identical op sequence,
+/// identical bits.
 // lint: hot-path
 #[inline]
 fn matmul_row_block<const M: usize>(
@@ -656,7 +681,11 @@ fn matmul_row_block<const M: usize>(
 ) {
     let mut j0 = 0;
     while j0 + NR <= n {
-        let mut acc = [[0.0f32; NR]; M];
+        let mut acc: [[f32; NR]; M] = std::array::from_fn(|i| {
+            out[i * n + j0..i * n + j0 + NR]
+                .try_into()
+                .expect("NR-wide tile")
+        });
         for k in 0..kk {
             let bt: &[f32; NR] = bd[k * n + j0..k * n + j0 + NR]
                 .try_into()
@@ -697,6 +726,9 @@ fn matmul_row_tail<const M: usize>(
     let jw = n - j0;
     debug_assert!(jw < NR);
     let mut acc = [[0.0f32; NR]; M];
+    for (i, acc_row) in acc.iter_mut().enumerate() {
+        acc_row[..jw].copy_from_slice(&out[i * n + j0..i * n + j0 + jw]);
+    }
     for k in 0..kk {
         let bt = &bd[k * n + j0..k * n + j0 + jw];
         for (acc_row, a_row) in acc.iter_mut().zip(&a_rows) {
@@ -929,8 +961,9 @@ mod x86 {
         }
     }
 
-    /// `M` rows of `a @ b` with two `__m256` accumulators per row (one
-    /// `NR = 16` column tile). Mirrors [`super::matmul_row_block`] op for op.
+    /// `M` rows of `a @ b` added into `out`, with two `__m256` accumulators
+    /// per row (one `NR = 16` column tile) loaded from `out`. Mirrors
+    /// [`super::matmul_row_block`] op for op.
     ///
     /// # Safety
     /// AVX2 must be available (the public entry points dispatch on runtime
@@ -954,6 +987,11 @@ mod x86 {
         while j0 + NR <= n {
             let mut acc_lo = [_mm256_setzero_ps(); M];
             let mut acc_hi = [_mm256_setzero_ps(); M];
+            for i in 0..M {
+                let op = out.as_ptr().add(i * n + j0);
+                acc_lo[i] = _mm256_loadu_ps(op);
+                acc_hi[i] = _mm256_loadu_ps(op.add(8));
+            }
             for k in 0..kk {
                 let tile = bp.add(k * n + j0);
                 let b_lo = _mm256_loadu_ps(tile);
@@ -1041,6 +1079,9 @@ mod x86 {
         let mut j0 = 0;
         while j0 + NR <= n {
             let mut acc = [_mm512_setzero_ps(); M];
+            for i in 0..M {
+                acc[i] = _mm512_loadu_ps(out.as_ptr().add(i * n + j0));
+            }
             for k in 0..kk {
                 let b = _mm512_loadu_ps(bp.add(k * n + j0));
                 for i in 0..M {
@@ -1169,6 +1210,22 @@ mod tests {
         Matrix::from_fn(rows, cols, f)
     }
 
+    /// `a1 @ b1` into a zeroed accumulator, then `a2 @ b2` seeded with that
+    /// partial product, both under the zero-skip decision of the
+    /// concatenated right operand `[b1 ; b2]`.
+    fn split_k(a1: &Matrix, b1: &Matrix, a2: &Matrix, b2: &Matrix, par: Parallelism) -> Matrix {
+        let skip_zeros = b1.all_finite() && b2.all_finite();
+        let mut acc = Matrix::zeros(a1.rows(), b1.cols());
+        a1.matmul_acc_with(b1.as_slice(), &mut acc, skip_zeros, par);
+        a2.matmul_acc_with(b2.as_slice(), &mut acc, skip_zeros, par);
+        acc
+    }
+
+    /// The scalar oracle for [`split_k`]: one `[a1 | a2] @ [b1 ; b2]`.
+    fn concat_matmul(a1: &Matrix, b1: &Matrix, a2: &Matrix, b2: &Matrix) -> Matrix {
+        Matrix::hconcat(&[a1, a2]).matmul(&Matrix::vconcat(&[b1, b2]))
+    }
+
     fn assert_bits_eq(want: &Matrix, got: &Matrix, what: &str) {
         assert_eq!(want.shape(), got.shape(), "{what}: shape");
         for (i, (w, g)) in want.as_slice().iter().zip(got.as_slice()).enumerate() {
@@ -1259,6 +1316,17 @@ mod tests {
         let want_mmt = a.matmul_t(&bt);
         let at = a.transpose();
         let want_tmm = at.t_matmul(&b);
+        // Split K: 11 rows (a row tail under MR = 4) by 18 columns (a column
+        // tail under NR = 16). The sparse `a` and a dense `a2` put the two
+        // seeded calls on opposite sides of the sparse/dense dispatch; a NaN
+        // row of `b` under zeros of `a` turns the shared zero skip off.
+        let a2 = filled(11, 7, |r, c| (r as f32 + 1.0) * 0.3 - c as f32 * 0.11);
+        let b2 = filled(7, 18, |r, c| (r as f32 * 0.4 - c as f32 * 0.07).sin());
+        let mut b_nan = b.clone();
+        b_nan.row_mut(3).fill(f32::NAN);
+        let want_split = concat_matmul(&a, &b, &a2, &b2);
+        let want_split_nan = concat_matmul(&a, &b_nan, &a2, &b2);
+        assert!(want_split_nan.as_slice().iter().any(|v| v.is_nan()));
         for backend in [
             KernelBackend::Scalar,
             KernelBackend::Blocked,
@@ -1277,6 +1345,16 @@ mod tests {
                     &want_tmm,
                     &at.t_matmul_with(&b, par),
                     &format!("t_matmul {what}"),
+                );
+                assert_bits_eq(
+                    &want_split,
+                    &split_k(&a, &b, &a2, &b2, par),
+                    &format!("split-K matmul_acc {what}"),
+                );
+                assert_bits_eq(
+                    &want_split_nan,
+                    &split_k(&a, &b_nan, &a2, &b2, par),
+                    &format!("split-K matmul_acc with NaN {what}"),
                 );
             }
         }
@@ -1318,12 +1396,15 @@ mod tests {
         let a = filled(13, 21, |r, c| if c % 4 == 0 { 0.0 } else { (r + c) as f32 });
         let b = filled(21, 10, |r, c| (r as f32 - c as f32) * 0.25);
         let want = a.matmul(&b);
+        // The inner dimension split 8 + 13: the second call continues from
+        // the first call's output, row partitions and all.
+        let (a1, a2) = (a.slice_cols(0, 8), a.slice_cols(8, 21));
+        let b1 = Matrix::from_vec(8, 10, b.as_slice()[..80].to_vec());
+        let b2 = Matrix::from_vec(13, 10, b.as_slice()[80..].to_vec());
         for t in [1, 2, 3, 4, 7, 16] {
-            assert_bits_eq(
-                &want,
-                &a.matmul_with(&b, Parallelism::exact_threads(t)),
-                "threads",
-            );
+            let par = Parallelism::exact_threads(t);
+            assert_bits_eq(&want, &a.matmul_with(&b, par), "threads");
+            assert_bits_eq(&want, &split_k(&a1, &b1, &a2, &b2, par), "split-K threads");
         }
     }
 

@@ -3,7 +3,7 @@
 //! batch** instead of once per query.
 //!
 //! Batching changes the arithmetic *layout*, not the arithmetic: the batched
-//! kernel ([`cardest_core::CardNetModel::infer_dist_batch`]) computes each
+//! path ([`cardest_core::CardinalityEstimator::estimate_batch`]) computes each
 //! row with the same per-row accumulation order as the single-query path, so
 //! served estimates are **bit-identical** to `estimator.estimate(q, θ)` run
 //! on one thread with no batching. That invariant is what makes the cache

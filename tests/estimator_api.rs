@@ -14,6 +14,7 @@
 
 use cardest_baselines::{build_db_se, DbUs, MeanEstimator, TlKde};
 use cardest_core::estimator::{CardNetEstimator, CardinalityEstimator};
+use cardest_core::metrics::ApiCounters;
 use cardest_core::model::CardNetConfig;
 use cardest_core::train::{train_cardnet, TrainerOptions};
 use cardest_data::synth::{ed_aminer, hm_imagenet, jc_bms, SynthConfig};
@@ -127,8 +128,12 @@ proptest! {
 fn estimate_batch_matches_scalars_for_every_estimator() {
     for fixture in fixtures() {
         let ds = &fixture.ds;
-        let queries: Vec<_> = (0..6).map(|i| ds.records[i * 25].clone()).collect();
-        let thetas: Vec<f64> = (0..6).map(|i| ds.theta_max * f64::from(i) / 5.0).collect();
+        // Ragged thresholds in descending order: a θ above θ_max (clamped to
+        // τ_max) first, θ = 0 last, and query 0 again at a smaller θ.
+        let picks = [0, 25, 50, 75, 0, 100, 125];
+        let fracs = [1.5, 1.0, 0.8, 0.6, 0.4, 0.2, 0.0];
+        let queries: Vec<_> = picks.iter().map(|&i| ds.records[i].clone()).collect();
+        let thetas: Vec<f64> = fracs.iter().map(|f| ds.theta_max * f).collect();
         for est in &fixture.estimators {
             let prepared: Vec<_> = queries.iter().map(|q| est.prepare(q)).collect();
             let refs: Vec<_> = prepared.iter().collect();
@@ -144,6 +149,22 @@ fn estimate_batch_matches_scalars_for_every_estimator() {
                     ds.name
                 );
                 assert!(got.lo <= got.value && got.value <= got.hi);
+            }
+            if est.name() == "CardNet" {
+                // Bit-identity cannot see a batch that embeds all n_out
+                // distances and reads only each row's prefix; the counters
+                // can. τ = {0, 5} is 1 + 6 decoder rows.
+                let theta_at = |tau: usize| {
+                    (0..=1000)
+                        .map(|s| ds.theta_max * f64::from(s) / 1000.0)
+                        .find(|&t| est.threshold_step(t) == tau)
+                        .expect("a θ for this τ")
+                };
+                let before = ApiCounters::snapshot();
+                let _ = est.estimate_batch(&refs[..2], &[theta_at(0), theta_at(5)]);
+                let delta = ApiCounters::snapshot().delta_since(&before);
+                assert_eq!(delta.encoder_passes, 1, "{}", ds.name);
+                assert_eq!(delta.decoder_calls, 1 + 6, "{}", ds.name);
             }
         }
     }
