@@ -453,10 +453,12 @@ impl CardNetModel {
     /// The `x′ · W₁[..xp]` half does not depend on `i`, so it runs once per
     /// input row; each stacked `(r, i)` accumulator then starts from that
     /// partial sum and continues through `e_i · W₁[xp..]` in ascending `k`.
-    /// Both halves take one zero-skip decision, `W₁.all_finite()`, so every
-    /// output element receives the additions of the stacked `[x′ ; e_i] · W₁`
-    /// product in the same order, with the same bits, finite weights or not.
-    /// Bias, activation and the later layers then run on the stacked rows.
+    /// Each half skips zero inputs only when its own rows of `W₁` are all
+    /// finite. That is exact: a skipped term is `±0.0`, which cannot change
+    /// an accumulator that starts at `+0.0`. So every output element gets
+    /// the bits of the stacked `[x′ ; e_i] · W₁` product, whichever half of
+    /// `W₁` holds a NaN or ∞. [`Dense::finish`] then adds the bias and
+    /// applies the activation, and the later layers run on the stacked rows.
     /// CardNet-A runs its one Φ′ pass and gathers the stacked rows' regions.
     ///
     /// A row's bits do not depend on which rows share its matmuls: every
@@ -484,10 +486,9 @@ impl CardNetModel {
                 // CardNet: Φ([x′ ; e_i]) with the first layer split at x′.
                 let (first, rest) = phi.layers.split_first().expect("Φ has a layer");
                 let w1 = store.value(first.w);
-                let skip_zeros = w1.all_finite();
                 let (w_x, w_e) = w1.as_slice().split_at(xprime.cols() * w1.cols());
                 let mut partial = Matrix::zeros(x.rows(), w1.cols());
-                xprime.matmul_acc_with(w_x, &mut partial, skip_zeros, par);
+                xprime.matmul_acc_with(w_x, &mut partial, par);
                 let e = store.value(self.e);
                 let mut e_rows = Matrix::zeros(rows, e.cols());
                 let mut h = Matrix::zeros(rows, w1.cols());
@@ -495,14 +496,8 @@ impl CardNetModel {
                     e_rows.row_mut(j).copy_from_slice(e.row(i));
                     h.row_mut(j).copy_from_slice(partial.row(r));
                 }
-                e_rows.matmul_acc_with(w_e, &mut h, skip_zeros, par);
-                let b1 = store.value(first.b);
-                for j in 0..rows {
-                    for (v, &bias) in h.row_mut(j).iter_mut().zip(b1.row(0)) {
-                        *v += bias;
-                    }
-                }
-                first.activation.apply_matrix(&mut h);
+                e_rows.matmul_acc_with(w_e, &mut h, par);
+                first.finish(store, &mut h);
                 for layer in rest {
                     h = layer.infer_with(store, &h, par);
                 }
@@ -795,8 +790,8 @@ mod tests {
     #[test]
     fn split_first_layer_matches_stacked_reference_with_nonfinite_weights() {
         // A NaN in W₁, among the e rows or among the x′ rows, turns the zero
-        // skip off for both halves of the split first layer. The all-zero
-        // input row then meets it through 0·NaN terms that a skip would drop.
+        // skip off for the half that holds it. The all-zero input row then
+        // meets it through 0·NaN terms that a skip would drop.
         let mut x = toy_x(4);
         x.row_mut(1).fill(0.0);
         for with_vae in [false, true] {

@@ -401,23 +401,26 @@ impl Matrix {
             other.cols()
         );
         let mut out = Matrix::zeros(self.rows(), other.cols());
-        // Same batch-level finiteness rule as the scalar kernel: the sparse
-        // skip is only sound when no skipped term could hide a 0·NaN / 0·∞.
-        self.matmul_acc_with(other.as_slice(), &mut out, other.all_finite(), par);
+        self.matmul_acc_with(other.as_slice(), &mut out, par);
         out
     }
 
     /// `acc += self @ b`, where `b` is a row-major `self.cols() × acc.cols()`
     /// slice: each output element continues from its current value in `acc`
-    /// through ascending `k`, skipping `a == 0.0` terms when `skip_zeros`.
+    /// through ascending `k`, one `mul` and one `add` per term.
     ///
-    /// Splitting the inner dimension into consecutive calls,
-    /// `A₁ @ B₁` into a zeroed `acc` and then `A₂ @ B₂` into the same `acc`,
-    /// gives the bits of [`Matrix::matmul`] on `[A₁ | A₂] @ [B₁ ; B₂]` when
-    /// every call passes that product's zero-skip decision, `all_finite()`
-    /// over the whole right operand. The caller owns that decision because
-    /// no single call sees the whole operand. Bit-identical for any `par`.
-    pub fn matmul_acc_with(&self, b: &[f32], acc: &mut Matrix, skip_zeros: bool, par: Parallelism) {
+    /// A term `a · w` with `a == 0.0` is skipped when every value of `b` is
+    /// finite, the same batch-level rule as [`Matrix::matmul`]. Skipping is
+    /// exact: a finite `w` makes the term `±0.0`, and adding `±0.0` leaves
+    /// any accumulator that is not `-0.0` unchanged. An accumulator that
+    /// starts at `+0.0` never becomes `-0.0` under `mul` + `add`. Only `0·NaN`
+    /// and `0·∞` change a sum, and those come from this call's own `b`.
+    ///
+    /// So splitting the inner dimension into consecutive calls, `A₁ @ B₁`
+    /// into a zeroed `acc` and then `A₂ @ B₂` into the same `acc`, gives the
+    /// bits of [`Matrix::matmul`] on `[A₁ | A₂] @ [B₁ ; B₂]`, whichever half
+    /// holds a non-finite value. Bit-identical for any `par`.
+    pub fn matmul_acc_with(&self, b: &[f32], acc: &mut Matrix, par: Parallelism) {
         assert_eq!(self.rows(), acc.rows(), "matmul_acc row mismatch");
         assert_eq!(
             b.len(),
@@ -429,6 +432,7 @@ impl Matrix {
             acc.cols()
         );
         let t_kernel = std::time::Instant::now();
+        let skip_zeros = b.iter().all(|v| v.is_finite());
         let n = acc.cols();
         let k = self.cols();
         let backend = par.backend();
@@ -1211,13 +1215,11 @@ mod tests {
     }
 
     /// `a1 @ b1` into a zeroed accumulator, then `a2 @ b2` seeded with that
-    /// partial product, both under the zero-skip decision of the
-    /// concatenated right operand `[b1 ; b2]`.
+    /// partial product.
     fn split_k(a1: &Matrix, b1: &Matrix, a2: &Matrix, b2: &Matrix, par: Parallelism) -> Matrix {
-        let skip_zeros = b1.all_finite() && b2.all_finite();
         let mut acc = Matrix::zeros(a1.rows(), b1.cols());
-        a1.matmul_acc_with(b1.as_slice(), &mut acc, skip_zeros, par);
-        a2.matmul_acc_with(b2.as_slice(), &mut acc, skip_zeros, par);
+        a1.matmul_acc_with(b1.as_slice(), &mut acc, par);
+        a2.matmul_acc_with(b2.as_slice(), &mut acc, par);
         acc
     }
 
@@ -1319,14 +1321,24 @@ mod tests {
         // Split K: 11 rows (a row tail under MR = 4) by 18 columns (a column
         // tail under NR = 16). The sparse `a` and a dense `a2` put the two
         // seeded calls on opposite sides of the sparse/dense dispatch; a NaN
-        // row of `b` under zeros of `a` turns the shared zero skip off.
+        // row of `b` under zeros of `a` turns the first call's zero skip off
+        // while the second call keeps it; a NaN row of `b2` under zeros of
+        // `a2_holed` does the reverse.
         let a2 = filled(11, 7, |r, c| (r as f32 + 1.0) * 0.3 - c as f32 * 0.11);
         let b2 = filled(7, 18, |r, c| (r as f32 * 0.4 - c as f32 * 0.07).sin());
         let mut b_nan = b.clone();
         b_nan.row_mut(3).fill(f32::NAN);
+        let mut a2_holed = a2.clone();
+        let mut b2_nan = b2.clone();
+        for r in (0..a2.rows()).step_by(2) {
+            a2_holed.set(r, 4, 0.0);
+        }
+        b2_nan.row_mut(4).fill(f32::NAN);
         let want_split = concat_matmul(&a, &b, &a2, &b2);
         let want_split_nan = concat_matmul(&a, &b_nan, &a2, &b2);
+        let want_split_nan2 = concat_matmul(&a, &b, &a2_holed, &b2_nan);
         assert!(want_split_nan.as_slice().iter().any(|v| v.is_nan()));
+        assert!(want_split_nan2.as_slice().iter().all(|v| v.is_nan()));
         for backend in [
             KernelBackend::Scalar,
             KernelBackend::Blocked,
@@ -1355,6 +1367,11 @@ mod tests {
                     &want_split_nan,
                     &split_k(&a, &b_nan, &a2, &b2, par),
                     &format!("split-K matmul_acc with NaN {what}"),
+                );
+                assert_bits_eq(
+                    &want_split_nan2,
+                    &split_k(&a, &b, &a2_holed, &b2_nan, par),
+                    &format!("split-K matmul_acc with NaN in the second half {what}"),
                 );
             }
         }

@@ -118,14 +118,20 @@ impl Dense {
     /// depends on `par`.
     pub fn infer_with(&self, store: &ParamStore, x: &Matrix, par: Parallelism) -> Matrix {
         let mut h = x.matmul_with(store.value(self.w), par);
+        self.finish(store, &mut h);
+        h
+    }
+
+    /// Turns the pre-activation `x @ W` into the layer output in place: adds
+    /// the bias to every row, then applies the activation.
+    pub fn finish(&self, store: &ParamStore, h: &mut Matrix) {
         let b = store.value(self.b);
         for r in 0..h.rows() {
             for (v, &bias) in h.row_mut(r).iter_mut().zip(b.row(0)) {
                 *v += bias;
             }
         }
-        self.activation.apply_matrix(&mut h);
-        h
+        self.activation.apply_matrix(h);
     }
 
     /// Number of scalar parameters in this layer.
