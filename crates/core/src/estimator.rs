@@ -444,7 +444,9 @@ pub struct CardNetEstimator {
     fx: Box<dyn FeatureExtractor>,
     model: CardNetModel,
     store: ParamStore,
-    accelerated: bool,
+    /// [`CardinalityEstimator::name`], built once and shared by every
+    /// [`Estimate`] this estimator returns.
+    source: Arc<str>,
     /// Owner id for encoder state cached inside [`PreparedQuery`].
     prep_id: u64,
     /// Kernel worker budget for the encoder/batch paths. Threaded kernels
@@ -468,7 +470,7 @@ impl CardNetEstimator {
             fx,
             model: trainer.model,
             store: trainer.store,
-            accelerated,
+            source: if accelerated { "CardNet-A" } else { "CardNet" }.into(),
             prep_id: next_instance_id(),
             par: Parallelism::serial(),
         }
@@ -570,14 +572,13 @@ impl CardNetEstimator {
         let dist = self
             .model
             .infer_dist_prefixes(&self.store, &x, &n_dists, par);
-        let source: Arc<str> = CardinalityEstimator::name(self).into();
         let mut at = 0;
         n_dists
             .iter()
             .map(|&n| {
                 let value = self.model.estimate_from(&dist[at..at + n]);
                 at += n;
-                Estimate::exact(value).with_source(Arc::clone(&source))
+                Estimate::exact(value).with_source(Arc::clone(&self.source))
             })
             .collect()
     }
@@ -751,11 +752,7 @@ impl CardinalityEstimator for CardNetEstimator {
     }
 
     fn name(&self) -> String {
-        if self.accelerated {
-            "CardNet-A".into()
-        } else {
-            "CardNet".into()
-        }
+        self.source.to_string()
     }
 
     fn size_bytes(&self) -> usize {

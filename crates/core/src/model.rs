@@ -453,10 +453,16 @@ impl CardNetModel {
     /// The `x′ · W₁[..xp]` half does not depend on `i`, so it runs once per
     /// input row; each stacked `(r, i)` accumulator then starts from that
     /// partial sum and continues through `e_i · W₁[xp..]` in ascending `k`.
-    /// Each half skips zero inputs only when its own rows of `W₁` are all
-    /// finite. That is exact: a skipped term is `±0.0`, which cannot change
-    /// an accumulator that starts at `+0.0`. So every output element gets
-    /// the bits of the stacked `[x′ ; e_i] · W₁` product, whichever half of
+    /// Every weight is read through [`ParamStore::weights`], so its
+    /// finiteness, which decides the zero skip, is scanned once per
+    /// parameter value rather than once per query, and is dropped whenever
+    /// the store hands out `&mut` access to that value. `W₁`'s halves come
+    /// from [`Weights::split_rows`](cardest_nn::Weights::split_rows): a
+    /// finite `W₁` makes both halves finite, otherwise each half is
+    /// rescanned and skips zero inputs only when its own rows are finite.
+    /// That is exact: a skipped term is `±0.0`, which cannot change an
+    /// accumulator that starts at `+0.0`. So every output element gets the
+    /// bits of the stacked `[x′ ; e_i] · W₁` product, whichever half of
     /// `W₁` holds a NaN or ∞. [`Dense::finish`] then adds the bias and
     /// applies the activation, and the later layers run on the stacked rows.
     /// CardNet-A runs its one Φ′ pass and gathers the stacked rows' regions.
@@ -485,13 +491,12 @@ impl CardNetModel {
             (Some(phi), _) => {
                 // CardNet: Φ([x′ ; e_i]) with the first layer split at x′.
                 let (first, rest) = phi.layers.split_first().expect("Φ has a layer");
-                let w1 = store.value(first.w);
-                let (w_x, w_e) = w1.as_slice().split_at(xprime.cols() * w1.cols());
-                let mut partial = Matrix::zeros(x.rows(), w1.cols());
+                let (w_x, w_e) = store.weights(first.w).split_rows(xprime.cols());
+                let mut partial = Matrix::zeros(x.rows(), w_x.cols());
                 xprime.matmul_acc_with(w_x, &mut partial, par);
                 let e = store.value(self.e);
                 let mut e_rows = Matrix::zeros(rows, e.cols());
-                let mut h = Matrix::zeros(rows, w1.cols());
+                let mut h = Matrix::zeros(rows, w_e.cols());
                 for (j, (r, i)) in stacked().enumerate() {
                     e_rows.row_mut(j).copy_from_slice(e.row(i));
                     h.row_mut(j).copy_from_slice(partial.row(r));
@@ -510,7 +515,7 @@ impl CardNetModel {
                 let mut blocks: Vec<Matrix> = Vec::with_capacity(pa.hidden.len());
                 for (layer, &head) in pa.hidden.iter().zip(&pa.heads) {
                     h = layer.infer_with(store, &h, par);
-                    blocks.push(h.matmul_with(store.value(head), par));
+                    blocks.push(h.matmul_with(store.weights(head), par));
                 }
                 let mut z = Matrix::zeros(rows, self.config.z_dim);
                 for (j, (r, i)) in stacked().enumerate() {
@@ -796,6 +801,9 @@ mod tests {
         x.row_mut(1).fill(0.0);
         for with_vae in [false, true] {
             let (model, store) = toy_model(EncoderKind::Shared, with_vae);
+            // Fill every finiteness cache first, so each poisoned clone below
+            // starts from a cache that says "finite" and must drop it.
+            model.infer_dist_batch(&store, &x);
             let phi = model.phi.as_ref().expect("shared encoder");
             let w1 = phi.layers[0].w;
             let xprime = match model.vae() {
@@ -814,12 +822,14 @@ mod tests {
                         e.get(j % n_out, c - xp)
                     }
                 });
-                assert!(stacked
-                    .matmul(store.value(w1))
-                    .as_slice()
-                    .iter()
-                    .any(|v| v.is_nan()));
-                let z = phi.infer_with(&store, &stacked, Parallelism::serial());
+                // The reference's first layer is the scalar `Matrix::matmul`,
+                // which scans W₁ itself, so it cannot share a stale cache.
+                let mut z = stacked.matmul(store.value(w1));
+                assert!(z.as_slice().iter().any(|v| v.is_nan()));
+                phi.layers[0].finish(&store, &mut z);
+                for layer in &phi.layers[1..] {
+                    z = layer.infer_with(&store, &z, Parallelism::serial());
+                }
                 let dists = (0..x.rows()).flat_map(|_| 0..n_out);
                 let want = model.decode(&store, &z, dists);
                 let got = model.infer_dist_batch(&store, &x);

@@ -46,7 +46,7 @@
 //! var (`scalar` | `blocked` | `simd` | `auto`) if set, else the best the
 //! CPU supports.
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, Weights};
 use std::sync::OnceLock;
 
 /// Per-thread kernel timing: wall-clock nanoseconds and call counts for the
@@ -390,49 +390,52 @@ where
 impl Matrix {
     /// `self @ other` through the blocked (and, when `par` allows, threaded)
     /// kernel. Bit-identical to [`Matrix::matmul`] for every input.
-    pub fn matmul_with(&self, other: &Matrix, par: Parallelism) -> Matrix {
-        assert_eq!(
-            self.cols(),
-            other.rows(),
-            "matmul shape mismatch: {}x{} @ {}x{}",
-            self.rows(),
-            self.cols(),
-            other.rows(),
-            other.cols()
-        );
+    ///
+    /// `other` is a [`Weights`]: a `&Matrix` converts through
+    /// [`Weights::scan`], so it is scanned for finiteness on every call,
+    /// while [`crate::ParamStore::weights`] reuses the flag it scanned once
+    /// for the parameter's current value.
+    pub fn matmul_with<'b>(&self, other: impl Into<Weights<'b>>, par: Parallelism) -> Matrix {
+        let other = other.into();
         let mut out = Matrix::zeros(self.rows(), other.cols());
-        self.matmul_acc_with(other.as_slice(), &mut out, par);
+        self.matmul_acc_with(other, &mut out, par);
         out
     }
 
-    /// `acc += self @ b`, where `b` is a row-major `self.cols() × acc.cols()`
-    /// slice: each output element continues from its current value in `acc`
-    /// through ascending `k`, one `mul` and one `add` per term.
+    /// `acc += self @ b`, where `b` is `self.cols() × acc.cols()`: each
+    /// output element continues from its current value in `acc` through
+    /// ascending `k`, one `mul` and one `add` per term.
     ///
-    /// A term `a · w` with `a == 0.0` is skipped when every value of `b` is
-    /// finite, the same batch-level rule as [`Matrix::matmul`]. Skipping is
-    /// exact: a finite `w` makes the term `±0.0`, and adding `±0.0` leaves
-    /// any accumulator that is not `-0.0` unchanged. An accumulator that
-    /// starts at `+0.0` never becomes `-0.0` under `mul` + `add`. Only `0·NaN`
-    /// and `0·∞` change a sum, and those come from this call's own `b`.
+    /// A term `a · w` with `a == 0.0` is skipped when `b` is finite, the same
+    /// rule as [`Matrix::matmul`]. The flag travels with `b`: decided once
+    /// per parameter value when `b` comes from [`crate::ParamStore::weights`]
+    /// (and dropped on every mutable access), by a scan when it comes from
+    /// [`Weights::scan`]. Skipping is exact: a finite `w` makes the term
+    /// `±0.0`, and adding `±0.0` leaves any accumulator that is not `-0.0`
+    /// unchanged. An accumulator that starts at `+0.0` never becomes `-0.0`
+    /// under `mul` + `add`. Only `0·NaN` and `0·∞` change a sum, and those
+    /// come from this call's own `b`.
     ///
     /// So splitting the inner dimension into consecutive calls, `A₁ @ B₁`
-    /// into a zeroed `acc` and then `A₂ @ B₂` into the same `acc`, gives the
-    /// bits of [`Matrix::matmul`] on `[A₁ | A₂] @ [B₁ ; B₂]`, whichever half
-    /// holds a non-finite value. Bit-identical for any `par`.
-    pub fn matmul_acc_with(&self, b: &[f32], acc: &mut Matrix, par: Parallelism) {
-        assert_eq!(self.rows(), acc.rows(), "matmul_acc row mismatch");
+    /// into a zeroed `acc` and then `A₂ @ B₂` into the same `acc` (the halves
+    /// of [`Weights::split_rows`]), gives the bits of [`Matrix::matmul`] on
+    /// `[A₁ | A₂] @ [B₁ ; B₂]`, whichever half holds a non-finite value.
+    /// Bit-identical for any `par`.
+    pub fn matmul_acc_with(&self, b: Weights<'_>, acc: &mut Matrix, par: Parallelism) {
         assert_eq!(
-            b.len(),
-            self.cols() * acc.cols(),
-            "matmul_acc shape mismatch: {}x{} @ {} values into {} columns",
+            (self.cols(), acc.rows(), acc.cols()),
+            (b.rows(), self.rows(), b.cols()),
+            "matmul_acc shape mismatch: {}x{} @ {}x{} into {}x{}",
             self.rows(),
             self.cols(),
-            b.len(),
+            b.rows(),
+            b.cols(),
+            acc.rows(),
             acc.cols()
         );
         let t_kernel = std::time::Instant::now();
-        let skip_zeros = b.iter().all(|v| v.is_finite());
+        let skip_zeros = b.is_finite();
+        let b = b.as_slice();
         let n = acc.cols();
         let k = self.cols();
         let backend = par.backend();
@@ -1214,18 +1217,14 @@ mod tests {
         Matrix::from_fn(rows, cols, f)
     }
 
-    /// `a1 @ b1` into a zeroed accumulator, then `a2 @ b2` seeded with that
-    /// partial product.
-    fn split_k(a1: &Matrix, b1: &Matrix, a2: &Matrix, b2: &Matrix, par: Parallelism) -> Matrix {
-        let mut acc = Matrix::zeros(a1.rows(), b1.cols());
-        a1.matmul_acc_with(b1.as_slice(), &mut acc, par);
-        a2.matmul_acc_with(b2.as_slice(), &mut acc, par);
+    /// `a1 @ b[..k]` into a zeroed accumulator, then `a2 @ b[k..]` seeded
+    /// with that partial product, the halves from [`Weights::split_rows`].
+    fn split_k(a1: &Matrix, a2: &Matrix, b: Weights<'_>, par: Parallelism) -> Matrix {
+        let (b1, b2) = b.split_rows(a1.cols());
+        let mut acc = Matrix::zeros(a1.rows(), b.cols());
+        a1.matmul_acc_with(b1, &mut acc, par);
+        a2.matmul_acc_with(b2, &mut acc, par);
         acc
-    }
-
-    /// The scalar oracle for [`split_k`]: one `[a1 | a2] @ [b1 ; b2]`.
-    fn concat_matmul(a1: &Matrix, b1: &Matrix, a2: &Matrix, b2: &Matrix) -> Matrix {
-        Matrix::hconcat(&[a1, a2]).matmul(&Matrix::vconcat(&[b1, b2]))
     }
 
     fn assert_bits_eq(want: &Matrix, got: &Matrix, what: &str) {
@@ -1319,11 +1318,13 @@ mod tests {
         let at = a.transpose();
         let want_tmm = at.t_matmul(&b);
         // Split K: 11 rows (a row tail under MR = 4) by 18 columns (a column
-        // tail under NR = 16). The sparse `a` and a dense `a2` put the two
-        // seeded calls on opposite sides of the sparse/dense dispatch; a NaN
-        // row of `b` under zeros of `a` turns the first call's zero skip off
-        // while the second call keeps it; a NaN row of `b2` under zeros of
-        // `a2_holed` does the reverse.
+        // tail under NR = 16), B = [b ; b2] cut by `Weights::split_rows`. The
+        // sparse `a` and a dense `a2` put the two seeded calls on opposite
+        // sides of the sparse/dense dispatch. A NaN row of `b` under zeros of
+        // `a` turns the first call's zero skip off while the second half,
+        // rescanned, keeps it; a NaN row of `b2` under zeros of `a2_holed`
+        // does the reverse. Each B is read both by a scan and through a
+        // parameter store whose finiteness cache is already filled.
         let a2 = filled(11, 7, |r, c| (r as f32 + 1.0) * 0.3 - c as f32 * 0.11);
         let b2 = filled(7, 18, |r, c| (r as f32 * 0.4 - c as f32 * 0.07).sin());
         let mut b_nan = b.clone();
@@ -1334,11 +1335,27 @@ mod tests {
             a2_holed.set(r, 4, 0.0);
         }
         b2_nan.row_mut(4).fill(f32::NAN);
-        let want_split = concat_matmul(&a, &b, &a2, &b2);
-        let want_split_nan = concat_matmul(&a, &b_nan, &a2, &b2);
-        let want_split_nan2 = concat_matmul(&a, &b, &a2_holed, &b2_nan);
-        assert!(want_split_nan.as_slice().iter().any(|v| v.is_nan()));
-        assert!(want_split_nan2.as_slice().iter().all(|v| v.is_nan()));
+        let mut store = crate::ParamStore::new();
+        let split_cases: Vec<_> = [
+            ("split-K", &a2, Matrix::vconcat(&[&b, &b2])),
+            ("split-K with NaN", &a2, Matrix::vconcat(&[&b_nan, &b2])),
+            (
+                "split-K with NaN in the second half",
+                &a2_holed,
+                Matrix::vconcat(&[&b, &b2_nan]),
+            ),
+        ]
+        .into_iter()
+        .map(|(what, a2, b)| {
+            // The scalar oracle: one `[a | a2] @ [b ; b2]`.
+            let want = Matrix::hconcat(&[&a, a2]).matmul(&b);
+            let id = store.register(what, b);
+            assert_eq!(store.weights(id).is_finite(), what == "split-K");
+            (what, a2, id, want)
+        })
+        .collect();
+        assert!(split_cases[1].3.as_slice().iter().any(|v| v.is_nan()));
+        assert!(split_cases[2].3.as_slice().iter().all(|v| v.is_nan()));
         for backend in [
             KernelBackend::Scalar,
             KernelBackend::Blocked,
@@ -1358,21 +1375,16 @@ mod tests {
                     &at.t_matmul_with(&b, par),
                     &format!("t_matmul {what}"),
                 );
-                assert_bits_eq(
-                    &want_split,
-                    &split_k(&a, &b, &a2, &b2, par),
-                    &format!("split-K matmul_acc {what}"),
-                );
-                assert_bits_eq(
-                    &want_split_nan,
-                    &split_k(&a, &b_nan, &a2, &b2, par),
-                    &format!("split-K matmul_acc with NaN {what}"),
-                );
-                assert_bits_eq(
-                    &want_split_nan2,
-                    &split_k(&a, &b, &a2_holed, &b2_nan, par),
-                    &format!("split-K matmul_acc with NaN in the second half {what}"),
-                );
+                for (case, a2, id, want) in &split_cases {
+                    let scanned = Weights::scan(store.value(*id));
+                    for (b, how) in [(scanned, "scanned"), (store.weights(*id), "cached")] {
+                        assert_bits_eq(
+                            want,
+                            &split_k(&a, a2, b, par),
+                            &format!("{case} matmul_acc {how} {what}"),
+                        );
+                    }
+                }
             }
         }
     }
@@ -1416,12 +1428,14 @@ mod tests {
         // The inner dimension split 8 + 13: the second call continues from
         // the first call's output, row partitions and all.
         let (a1, a2) = (a.slice_cols(0, 8), a.slice_cols(8, 21));
-        let b1 = Matrix::from_vec(8, 10, b.as_slice()[..80].to_vec());
-        let b2 = Matrix::from_vec(13, 10, b.as_slice()[80..].to_vec());
         for t in [1, 2, 3, 4, 7, 16] {
             let par = Parallelism::exact_threads(t);
             assert_bits_eq(&want, &a.matmul_with(&b, par), "threads");
-            assert_bits_eq(&want, &split_k(&a1, &b1, &a2, &b2, par), "split-K threads");
+            assert_bits_eq(
+                &want,
+                &split_k(&a1, &a2, Weights::scan(&b), par),
+                "split-K threads",
+            );
         }
     }
 

@@ -117,7 +117,7 @@ impl Dense {
     /// kernels are bit-identical to the scalar path, so the result never
     /// depends on `par`.
     pub fn infer_with(&self, store: &ParamStore, x: &Matrix, par: Parallelism) -> Matrix {
-        let mut h = x.matmul_with(store.value(self.w), par);
+        let mut h = x.matmul_with(store.weights(self.w), par);
         self.finish(store, &mut h);
         h
     }

@@ -5,13 +5,15 @@
 //! Rust engine:
 //!
 //! * [`matrix::Matrix`] — contiguous row-major `f32` matrices with the handful
-//!   of BLAS-like kernels the models need,
+//!   of BLAS-like kernels the models need, and [`matrix::Weights`], the
+//!   kernels' right operand paired with its finiteness,
 //! * [`kernels`] — cache-blocked, explicit-SIMD (AVX2/AVX-512 with runtime
 //!   dispatch), and multi-threaded variants of those kernels, bit-identical
 //!   to the scalar reference by construction, behind the
 //!   [`kernels::Parallelism`] + [`kernels::KernelBackend`] config,
 //! * [`tape::Tape`] — a dynamic reverse-mode autodiff tape over matrices,
-//! * [`params::ParamStore`] — named trainable parameters plus their gradients,
+//! * [`params::ParamStore`] — named trainable parameters plus their gradients
+//!   and a per-value finiteness cache,
 //! * [`optim`] — Adam and SGD,
 //! * [`layers`] — `Dense` layers and `Mlp` stacks built on the tape,
 //! * [`vae`] — the variational auto-encoder of §5.2.1 of the paper,
@@ -37,7 +39,7 @@ pub mod vae;
 
 pub use kernels::{KernelBackend, Parallelism};
 pub use layers::{Activation, Dense, Mlp};
-pub use matrix::Matrix;
+pub use matrix::{Matrix, Weights};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{ParamId, ParamStore};
 pub use tape::{Tape, Var};

@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A dense row-major matrix of `f32`.
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
@@ -133,11 +134,13 @@ impl Matrix {
         self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 
-    /// Whether every element is finite (no NaN, no ±∞). One linear scan —
-    /// the batch-level check that makes the sparse zero-skip in
-    /// [`Matrix::matmul`] / [`Matrix::t_matmul`] sound.
+    /// Whether every element is finite (no NaN, no ±∞): one
+    /// [`Weights::scan`], the check that makes the sparse zero-skip in
+    /// [`Matrix::matmul`] / [`Matrix::t_matmul`] sound. A parameter read
+    /// through [`crate::ParamStore::weights`] is scanned once per value
+    /// instead of once per call.
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
+        Weights::scan(self).is_finite()
     }
 
     /// `self @ other` — the workhorse. i-k-j loop order keeps the inner loop
@@ -351,6 +354,94 @@ impl Matrix {
     }
 }
 
+/// The right operand of the matmul kernels: a borrowed row-major matrix and
+/// whether every value in it is finite, which decides the exact zero skip of
+/// [`Matrix::matmul_acc_with`].
+///
+/// The fields are private, so the flag always comes from the values
+/// themselves: [`Weights::scan`] reads every value, and
+/// [`crate::ParamStore::weights`] reads a flag it scanned once for the
+/// parameter's current value and drops on every mutable access.
+#[derive(Clone, Copy, Debug)]
+pub struct Weights<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+    finite: bool,
+}
+
+impl<'a> Weights<'a> {
+    /// `m` with its finiteness decided by one linear scan.
+    // lint: hot-path
+    pub fn scan(m: &'a Matrix) -> Weights<'a> {
+        Weights {
+            data: &m.data,
+            rows: m.rows,
+            cols: m.cols,
+            finite: scan_finite(&m.data),
+        }
+    }
+
+    /// `m` with its finiteness read from `cache`, which is filled by one scan
+    /// on the first read. The caller drops `cache` whenever `m` changes.
+    // lint: hot-path
+    pub(crate) fn cached(m: &'a Matrix, cache: &OnceLock<bool>) -> Weights<'a> {
+        Weights {
+            data: &m.data,
+            rows: m.rows,
+            cols: m.cols,
+            finite: *cache.get_or_init(|| scan_finite(&m.data)),
+        }
+    }
+
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Whether every value is finite (no NaN, no ±∞).
+    pub fn is_finite(&self) -> bool {
+        self.finite
+    }
+
+    pub(crate) fn as_slice(&self) -> &'a [f32] {
+        self.data
+    }
+
+    /// Rows `..k` and rows `k..` as two operands. When the whole is finite
+    /// both halves are; otherwise each half is scanned, so the half without
+    /// the non-finite value keeps its zero skip. Both flags give the same
+    /// bits (see [`Matrix::matmul_acc_with`]).
+    pub fn split_rows(self, k: usize) -> (Weights<'a>, Weights<'a>) {
+        assert!(k <= self.rows, "split_rows: row {k} of {}", self.rows);
+        let (top, bottom) = self.data.split_at(k * self.cols);
+        let half = |data: &'a [f32], rows| Weights {
+            data,
+            rows,
+            cols: self.cols,
+            finite: self.finite || scan_finite(data),
+        };
+        (half(top, k), half(bottom, self.rows - k))
+    }
+}
+
+impl<'a> From<&'a Matrix> for Weights<'a> {
+    /// [`Weights::scan`]: a plain matrix is scanned on every conversion.
+    fn from(m: &'a Matrix) -> Self {
+        Weights::scan(m)
+    }
+}
+
+/// Whether every value is finite. A branch-free fold over each 256-value
+/// chunk vectorizes; the early exit happens between chunks.
+fn scan_finite(data: &[f32]) -> bool {
+    data.chunks(256)
+        .all(|c| c.iter().fold(true, |ok, v| ok & v.is_finite()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,6 +553,26 @@ mod tests {
         let c = a.t_matmul(&b);
         assert!(c.get(0, 0).is_nan(), "0·∞ + 1·2 must be NaN");
         assert_eq!(c.get(0, 1), 3.0); // 0·1 + 1·3 — the finite column is exact
+    }
+
+    #[test]
+    fn weights_scan_every_chunk_and_split_rows() {
+        // 600 values span two whole 256-value chunks and a partial one.
+        let clean = Matrix::from_fn(20, 30, |r, c| (r * 30 + c) as f32 * 0.5 - 7.0);
+        assert!(Weights::scan(&clean).is_finite());
+        for at in [0, 255, 256, 511, 599] {
+            let mut m = clean.clone();
+            m.as_mut_slice()[at] = f32::NAN;
+            let w = Weights::scan(&m);
+            assert!(!w.is_finite() && !m.all_finite(), "NaN at {at}");
+            // The half that holds the NaN stays non-finite, the other not.
+            let (top, bottom) = w.split_rows(9);
+            assert_eq!((top.rows(), bottom.rows(), top.cols()), (9, 11, 30));
+            assert_eq!(top.is_finite(), at >= 9 * 30, "NaN at {at}");
+            assert_eq!(bottom.is_finite(), at < 9 * 30, "NaN at {at}");
+        }
+        let (top, bottom) = Weights::scan(&clean).split_rows(20);
+        assert!(top.is_finite() && bottom.is_finite() && bottom.rows() == 0);
     }
 
     #[test]

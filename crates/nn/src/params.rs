@@ -4,9 +4,12 @@
 //! their accumulated gradients. The autodiff [`crate::tape::Tape`] copies
 //! parameter values onto the tape during the forward pass and writes gradients
 //! back after `backward`; optimizers then consume `(value, grad)` pairs.
+//! Inference reads a parameter as [`Weights`], whose finiteness is scanned
+//! once per value instead of once per product.
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, Weights};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Opaque handle to one parameter inside a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -18,6 +21,10 @@ struct Param {
     value: Matrix,
     #[serde(skip, default = "Matrix::empty_grad")]
     grad: Matrix,
+    /// Whether every value of `value` is finite, filled on the first
+    /// [`ParamStore::weights`] read. Every path to `&mut value` drops it.
+    #[serde(skip)]
+    finite: OnceLock<bool>,
 }
 
 impl Matrix {
@@ -44,6 +51,7 @@ impl ParamStore {
             name: name.into(),
             value,
             grad,
+            finite: OnceLock::new(),
         });
         ParamId(self.params.len() - 1)
     }
@@ -60,8 +68,22 @@ impl ParamStore {
         &self.params[id.0].value
     }
 
+    /// Mutable access to a value; drops its cached finiteness.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Matrix {
-        &mut self.params[id.0].value
+        let p = &mut self.params[id.0];
+        p.finite.take();
+        &mut p.value
+    }
+
+    /// The value of `id` as a matmul right operand, with its finiteness
+    /// scanned on the first read after the value last changed and cached
+    /// until it changes again. The cache cannot go stale: the only ways to
+    /// change a value ([`ParamStore::value_mut`], [`ParamStore::update`])
+    /// drop it, and they need `&mut self`, which no live `Weights` allows.
+    // lint: hot-path
+    pub fn weights(&self, id: ParamId) -> Weights<'_> {
+        let p = &self.params[id.0];
+        Weights::cached(&p.value, &p.finite)
     }
 
     pub fn grad(&self, id: ParamId) -> &Matrix {
@@ -103,6 +125,7 @@ impl ParamStore {
         if p.grad.shape() != p.value.shape() {
             p.grad = Matrix::zeros(p.value.rows(), p.value.cols());
         }
+        p.finite.take();
         f(&mut p.value, &p.grad);
     }
 
@@ -180,6 +203,28 @@ mod tests {
         store.clip_grad_norm(1.0);
         assert!((store.grad_norm() - 1.0).abs() < 1e-5);
         assert_eq!(store.grad(id).as_slice(), &[0.6, 0.8]);
+    }
+
+    #[test]
+    fn cached_finiteness_never_outlives_a_write() {
+        let mut store = ParamStore::new();
+        let w = store.register("w", Matrix::full(3, 4, 0.5));
+        let b = store.register("b", Matrix::zeros(1, 4));
+        assert!(store.weights(w).is_finite() && store.weights(b).is_finite());
+        // A clone carries the filled cache; its own write must drop it.
+        let mut cloned = store.clone();
+        cloned.value_mut(w).set(2, 1, f32::NAN);
+        assert!(!cloned.weights(w).is_finite());
+        assert!(store.weights(w).is_finite(), "the original is untouched");
+        // value_mut after a cached read.
+        store.value_mut(w).set(0, 3, f32::NAN);
+        assert!(!store.weights(w).is_finite());
+        store.value_mut(w).set(0, 3, 1.0);
+        assert!(store.weights(w).is_finite());
+        // update after a cached read.
+        store.update(w, |v, _| v.set(1, 1, f32::INFINITY));
+        assert!(!store.weights(w).is_finite());
+        assert!(store.weights(b).is_finite(), "caches are per parameter");
     }
 
     #[test]
