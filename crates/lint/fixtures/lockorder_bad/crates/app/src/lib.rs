@@ -1,6 +1,6 @@
-//! Two-lock cycle: `fwd` nests `a` then `b`, `rev` nests `b` then `a`.
-//! The lock-order pass must report exactly one cycle, citing both
-//! witness sites.
+//! One nesting, no cycle: `sum` takes `b` while holding `a`. No order
+//! among locks could make this deadlock, but the workspace holds at most
+//! one lock per thread, so the lock-order pass must flag the edge.
 
 use std::sync::Mutex;
 
@@ -10,15 +10,9 @@ pub struct Pair {
 }
 
 impl Pair {
-    pub fn fwd(&self) -> u64 {
+    pub fn sum(&self) -> u64 {
         let x = self.a.lock().unwrap();
         let y = self.b.lock().unwrap();
-        *x + *y
-    }
-
-    pub fn rev(&self) -> u64 {
-        let y = self.b.lock().unwrap();
-        let x = self.a.lock().unwrap();
         *x + *y
     }
 }

@@ -1,7 +1,7 @@
-//! A consistent lock order, including a nesting only visible through
-//! one level of call expansion: `outer` holds `conns` across a call to
-//! `inner`, which takes `stats` — the graph must contain the
-//! `conns -> stats` edge and still be clean (no cycle).
+//! A nesting only visible through one level of call expansion: `outer`
+//! holds `conns` across a call to `inner`, which takes `stats`. A reasoned
+//! allow on the call line waives it, so the tree lints clean while the
+//! graph still records the `conns -> stats` edge.
 
 use std::sync::Mutex;
 
@@ -13,17 +13,11 @@ pub struct State {
 impl State {
     pub fn outer(&self) -> u64 {
         let c = self.conns.lock().unwrap();
+        // lint: allow(lock-order) `stats` is a leaf: `inner` takes no other lock.
         *c + self.inner()
     }
 
     fn inner(&self) -> u64 {
         *self.stats.lock().unwrap()
-    }
-
-    /// Same direct order as the expanded one: never a conflict.
-    pub fn both(&self) -> u64 {
-        let c = self.conns.lock().unwrap();
-        let s = self.stats.lock().unwrap();
-        *c + *s
     }
 }

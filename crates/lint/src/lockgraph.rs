@@ -12,22 +12,24 @@
 //! 3. records an edge `A -> B` whenever lock `B` is acquired — directly, or
 //!    via a one-level-expanded intra-crate call (`self.f(…)`, `f(…)`,
 //!    `Type::f(…)`) — while a guard for `A` is still held;
-//! 4. reports every cycle in the resulting global acquisition graph as a
-//!    potential deadlock, with one witness site per edge of the cycle.
+//! 4. reports every edge as a finding: the workspace holds at most one lock
+//!    per thread, so no order among locks needs keeping and no cycle can
+//!    form. A deliberate nesting is waived with a reasoned
+//!    `// lint: allow(lock-order)` on the line of the edge's witness site.
 //!
 //! The held-interval inference is deliberately an *over*-approximation
 //! (e.g. `let n = m.lock().unwrap().len();` binds a `usize`, not a guard,
 //! but is treated as held to end of block): a superset of held intervals
-//! can only add edges, never hide a real cycle. Receivers that do not
+//! can only add edges, never hide a real nesting. Receivers that do not
 //! resolve through the symbol table (`stdout().lock()`, `TcpStream::read`)
 //! are ignored — only workspace-declared locks participate.
 //!
-//! Besides findings, the pass emits the graph itself ([`LockGraph`]): the
-//! `--json` inventory serializes it, and `cardest-serve`'s runtime lock
-//! witness asserts its static rank table agrees with these edges, so the
-//! static and runtime views cannot drift apart.
+//! Besides findings, the pass emits the graph itself ([`LockGraph`]), which
+//! the `--json` inventory serializes. At run time the same invariant is
+//! checked by `cardest_obs::one_lock`, the debug-build witness every tracked
+//! acquisition calls.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 use crate::lex::is_ident_byte;
 use crate::rules::{suppressed, Rule};
@@ -63,13 +65,9 @@ pub struct LockEdge {
 pub struct LockGraph {
     /// All declared locks, sorted by id.
     pub locks: Vec<LockNode>,
-    /// Deduplicated `(from, to)` edges with one witness site each.
+    /// Deduplicated `(from, to)` edges with one witness site each,
+    /// waived ones included.
     pub edges: Vec<LockEdge>,
-    /// Cycles (each a list of lock ids; the first id repeats implicitly).
-    pub cycles: Vec<Vec<String>>,
-    /// Topological order of the acyclic part, lexicographic tie-break —
-    /// the canonical rank order the runtime lock witness mirrors.
-    pub order: Vec<String>,
 }
 
 /// One resolved acquisition inside a function body.
@@ -148,13 +146,15 @@ fn held_end(body: &FnBody, p: usize, d: u32, bound: Option<&str>) -> usize {
             break;
         }
     }
-    // An explicit `drop(name)` releases a bound guard early.
+    // An explicit `drop(name)` in the guard's own block releases it early;
+    // one inside a nested block (a branch) releases it on that path only.
     if let Some(name) = bound {
         let hay = &body.text[p..end];
         let pat = b"drop";
         let mut i = 0usize;
         while i + pat.len() < hay.len() {
             if &hay[i..i + pat.len()] == pat
+                && body.depth[p + i] <= d
                 && (i == 0 || !is_ident_byte(hay[i - 1]))
                 && hay[i + pat.len()] == b'('
             {
@@ -375,8 +375,8 @@ struct RawEdge {
     func: String,
 }
 
-/// Run the pass: build the graph, report cycles as findings, and flag
-/// guards held across blocking calls.
+/// Run the pass: build the graph, report every unwaived edge site as a
+/// finding, and flag guards held across blocking calls.
 pub fn analyze(
     cfg: &Config,
     tables: &HashMap<String, CrateTable>,
@@ -480,6 +480,30 @@ pub fn analyze(
         }
     }
 
+    // Every nesting is a finding at its witness site, unless that line
+    // carries a reasoned allow.
+    let by_rel: HashMap<&str, &SourceFile> = sources.iter().map(|f| (f.rel.as_str(), f)).collect();
+    for e in &raw_edges {
+        let waived = by_rel
+            .get(e.file.as_str())
+            .is_some_and(|f| suppressed(f, e.line - 1, Rule::LockOrder));
+        if waived {
+            continue;
+        }
+        let (from, to) = (&locks[e.from].2.id, &locks[e.to].2.id);
+        findings.push(Finding {
+            file: e.file.clone(),
+            line: e.line,
+            rule: Rule::LockOrder,
+            message: format!(
+                "`{to}` is acquired while `{from}` is held (in `{}`); a thread holds at most \
+                 one lock — release `{from}` first, or justify the nesting with a \
+                 `// lint: allow(lock-order) <reason>`",
+                e.func
+            ),
+        });
+    }
+
     // Dedup to one witness per (from, to), keeping the first site in
     // (file, line) order.
     raw_edges.sort_by(|a, b| {
@@ -487,55 +511,6 @@ pub fn analyze(
     });
     raw_edges.dedup_by(|a, b| a.from == b.from && a.to == b.to);
 
-    let mut adj: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for e in &raw_edges {
-        adj.entry(e.from).or_default().insert(e.to);
-    }
-
-    let cycles = find_cycles(locks.len(), &adj);
-
-    // Report each cycle, unless a suppression covers one of its witnesses.
-    let by_rel: HashMap<&str, &SourceFile> = sources.iter().map(|f| (f.rel.as_str(), f)).collect();
-    for cyc in &cycles {
-        let mut witnesses = Vec::new();
-        for w in 0..cyc.len() {
-            let (from, to) = (cyc[w], cyc[(w + 1) % cyc.len()]);
-            if let Some(e) = raw_edges.iter().find(|e| e.from == from && e.to == to) {
-                witnesses.push(e);
-            }
-        }
-        let waived = witnesses.iter().any(|e| {
-            by_rel
-                .get(e.file.as_str())
-                .is_some_and(|f| suppressed(f, e.line - 1, Rule::LockOrder))
-        });
-        if waived || witnesses.is_empty() {
-            continue;
-        }
-        let mut path: Vec<&str> = cyc.iter().map(|&g| locks[g].2.id.as_str()).collect();
-        path.push(locks[cyc[0]].2.id.as_str());
-        let detail = witnesses
-            .iter()
-            .map(|e| {
-                format!(
-                    "`{} -> {}` at {}:{} (in `{}`)",
-                    locks[e.from].2.id, locks[e.to].2.id, e.file, e.line, e.func
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("; witness ");
-        findings.push(Finding {
-            file: witnesses[0].file.clone(),
-            line: witnesses[0].line,
-            rule: Rule::LockOrder,
-            message: format!(
-                "potential deadlock: lock-order cycle `{}`; witness {detail}",
-                path.join(" -> ")
-            ),
-        });
-    }
-
-    let order = topo_order(&locks, &adj);
     LockGraph {
         edges: raw_edges
             .iter()
@@ -547,89 +522,8 @@ pub fn analyze(
                 func: e.func.clone(),
             })
             .collect(),
-        cycles: cycles
-            .iter()
-            .map(|c| c.iter().map(|&g| locks[g].2.id.clone()).collect())
-            .collect(),
-        order,
         locks: locks.into_iter().map(|(_, _, n)| n).collect(),
     }
-}
-
-/// Elementary cycles, canonicalized so each starts at its smallest node.
-fn find_cycles(n: usize, adj: &BTreeMap<usize, BTreeSet<usize>>) -> Vec<Vec<usize>> {
-    let mut cycles = Vec::new();
-    for start in 0..n {
-        let mut path = vec![start];
-        let mut on_path: BTreeSet<usize> = [start].into();
-        dfs_cycles(start, start, adj, &mut path, &mut on_path, &mut cycles);
-        if cycles.len() >= 64 {
-            break;
-        }
-    }
-    cycles
-}
-
-fn dfs_cycles(
-    start: usize,
-    at: usize,
-    adj: &BTreeMap<usize, BTreeSet<usize>>,
-    path: &mut Vec<usize>,
-    on_path: &mut BTreeSet<usize>,
-    cycles: &mut Vec<Vec<usize>>,
-) {
-    let Some(nexts) = adj.get(&at) else {
-        return;
-    };
-    for &nx in nexts {
-        if nx == start {
-            cycles.push(path.clone());
-        } else if nx > start && !on_path.contains(&nx) && cycles.len() < 64 {
-            path.push(nx);
-            on_path.insert(nx);
-            dfs_cycles(start, nx, adj, path, on_path, cycles);
-            path.pop();
-            on_path.remove(&nx);
-        }
-    }
-}
-
-/// Kahn's algorithm with lexicographic tie-break; nodes stuck in cycles are
-/// appended at the end in id order (the order is only canonical when the
-/// graph is acyclic, which `--deny` enforces).
-fn topo_order(
-    locks: &[(&str, usize, LockNode)],
-    adj: &BTreeMap<usize, BTreeSet<usize>>,
-) -> Vec<String> {
-    let n = locks.len();
-    let mut indeg = vec![0usize; n];
-    for nexts in adj.values() {
-        for &t in nexts {
-            indeg[t] += 1;
-        }
-    }
-    let mut ready: BTreeSet<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut out = Vec::with_capacity(n);
-    let mut done = vec![false; n];
-    while let Some(&i) = ready.iter().next() {
-        ready.remove(&i);
-        done[i] = true;
-        out.push(locks[i].2.id.clone());
-        if let Some(nexts) = adj.get(&i) {
-            for &t in nexts {
-                indeg[t] -= 1;
-                if indeg[t] == 0 && !done[t] {
-                    ready.insert(t);
-                }
-            }
-        }
-    }
-    for (i, l) in locks.iter().enumerate() {
-        if !done[i] {
-            out.push(l.2.id.clone());
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -668,18 +562,38 @@ impl Pair {
 
     #[test]
     fn two_lock_cycle_is_reported_with_both_witnesses() {
+        // A cycle is two nestings, and each is a finding at its own site.
         let (graph, findings) = graph_of(&[("crates/app/src/lib.rs", CYCLIC)]);
         assert_eq!(graph.locks.len(), 2);
         assert_eq!(graph.edges.len(), 2);
-        assert_eq!(graph.cycles.len(), 1);
-        assert_eq!(findings.len(), 1);
-        let msg = &findings[0].message;
-        assert!(
-            msg.contains("app::Pair.a -> app::Pair.b -> app::Pair.a"),
-            "{msg}"
-        );
-        assert!(msg.contains("(in `fwd`)"), "{msg}");
-        assert!(msg.contains("(in `rev`)"), "{msg}");
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings.iter().all(|f| f.rule == Rule::LockOrder));
+        let msgs: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
+        assert!(msgs.iter().any(|m| m.contains("(in `fwd`)")), "{msgs:?}");
+        assert!(msgs.iter().any(|m| m.contains("(in `rev`)")), "{msgs:?}");
+    }
+
+    #[test]
+    fn one_nesting_without_a_cycle_is_a_finding() {
+        let src = r#"
+use std::sync::Mutex;
+pub struct S { a: Mutex<u64>, b: Mutex<u64> }
+impl S {
+    pub fn sum(&self) -> u64 {
+        let ga = self.a.lock().unwrap();
+        let gb = self.b.lock().unwrap();
+        *ga + *gb
+    }
+}
+"#;
+        let (graph, findings) = graph_of(&[("crates/app/src/lib.rs", src)]);
+        assert_eq!(graph.edges.len(), 1);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, Rule::LockOrder);
+        assert_eq!(findings[0].line, 7, "reported at the inner acquisition");
+        assert!(findings[0]
+            .message
+            .contains("`app::S.b` is acquired while `app::S.a` is held"));
     }
 
     #[test]
@@ -699,11 +613,12 @@ impl S {
 }
 "#;
         let (graph, findings) = graph_of(&[("crates/app/src/lib.rs", src)]);
-        assert!(findings.is_empty());
         assert_eq!(graph.edges.len(), 1);
         assert_eq!(graph.edges[0].from, "app::S.a");
         assert_eq!(graph.edges[0].to, "app::S.b");
-        assert_eq!(graph.order, vec!["app::S.a", "app::S.b"]);
+        // The expanded edge is reported at the call site.
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!((findings[0].rule, findings[0].line), (Rule::LockOrder, 7));
     }
 
     #[test]
@@ -713,19 +628,17 @@ use std::sync::Mutex;
 pub struct S { a: Mutex<u64>, b: Mutex<u64> }
 impl S {
     pub fn seq(&self) -> u64 {
-        let x = *self.a.lock().unwrap();
-        let y = *self.b.lock().unwrap();
-        x + y
+        *self.a.lock().unwrap() += 1;
+        *self.b.lock().unwrap()
     }
 }
 "#;
-        // Both guards are temporaries (bound values are u64 copies)… but the
-        // analysis over-approximates `let`-statements as guards held to end
-        // of block, so the edge a -> b is expected; what matters is there is
-        // no reverse edge, hence no cycle.
+        // Both guards are statement temporaries: `a`'s drops at its `;`,
+        // before `b` is taken, so there is no nesting. (A `let`-bound value
+        // would be over-approximated as a guard held to end of block.)
         let (graph, findings) = graph_of(&[("crates/app/src/lib.rs", src)]);
-        assert!(findings.is_empty());
-        assert!(graph.cycles.is_empty());
+        assert!(findings.is_empty(), "{findings:?}");
+        assert!(graph.edges.is_empty(), "{:?}", graph.edges);
     }
 
     #[test]
@@ -748,6 +661,27 @@ impl S {
     }
 
     #[test]
+    fn a_drop_in_one_branch_does_not_release_the_guard_after_it() {
+        let src = r#"
+use std::sync::Mutex;
+pub struct S { a: Mutex<u64>, b: Mutex<u64> }
+impl S {
+    pub fn maybe(&self, early: bool) -> u64 {
+        let g = self.a.lock().unwrap();
+        if early {
+            drop(g);
+            return 0;
+        }
+        *self.b.lock().unwrap()
+    }
+}
+"#;
+        let (graph, findings) = graph_of(&[("crates/app/src/lib.rs", src)]);
+        assert_eq!(graph.edges.len(), 1, "{:?}", graph.edges);
+        assert_eq!((findings[0].rule, findings[0].line), (Rule::LockOrder, 11));
+    }
+
+    #[test]
     fn unresolved_receivers_are_ignored() {
         let src = r#"
 pub fn print_all(lines: &[String]) {
@@ -765,14 +699,15 @@ pub fn print_all(lines: &[String]) {
     }
 
     #[test]
-    fn suppression_on_a_witness_waives_the_cycle() {
+    fn suppression_on_the_acquisition_line_waives_the_edge() {
         let src = CYCLIC.replace(
             "let gb = self.b.lock().unwrap();\n        let ga = self.a.lock().unwrap();",
             "let gb = self.b.lock().unwrap();\n        // lint: allow(lock-order) drain order is pinned by the caller.\n        let ga = self.a.lock().unwrap();",
         );
         let (graph, findings) = graph_of(&[("crates/app/src/lib.rs", &src)]);
-        assert_eq!(graph.cycles.len(), 1, "graph still records the cycle");
-        assert!(findings.is_empty(), "finding waived: {findings:?}");
+        assert_eq!(graph.edges.len(), 2, "graph still records the waived edge");
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("(in `fwd`)"), "{findings:?}");
     }
 
     #[test]

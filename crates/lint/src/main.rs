@@ -23,7 +23,7 @@ const USAGE: &str =
 Lints every crates/*/src file under ROOT (default: the enclosing workspace)
 against the project invariants and exits nonzero on any finding.
 
-  --json        print a machine-readable report (schema 3: findings +
+  --json        print a machine-readable report (schema 4: findings +
                 unsafe/atomics/channels/taint-flow inventories + lock
                 graph) to stdout instead of rustc-style lines
   --deny        explicit strict gate for CI; today all findings are already

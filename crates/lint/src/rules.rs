@@ -6,8 +6,6 @@
 //! be waived by a suppression comment on `L` itself (trailing) or on the
 //! contiguous run of comment/attribute/blank lines directly above `L`.
 
-use std::io;
-
 use crate::lex::{find_word, is_ident_byte, macro_call, method_call};
 use crate::{Config, Finding, Inventory, Site, SourceFile};
 
@@ -23,19 +21,12 @@ pub enum Rule {
     AtomicsOrdering,
     /// Hot-path-marked functions must not allocate.
     NoAllocHotPath,
-    /// Every wire enum variant is exercised by the crate's test suites.
-    WireKindCoverage,
-    /// No cycle in the cross-file lock-acquisition graph.
+    /// No edge in the cross-file lock-acquisition graph: a thread holds at
+    /// most one lock at a time.
     LockOrder,
-    /// Counters surfaced in `MetricsSnapshot` are read only through the
-    /// registry's sanctioned readers (or a same-named getter).
-    CounterDrift,
     /// `Instant::now()` in serve/obs production code must start an observed
     /// span or carry a `// timing:` justification.
     InstantSpan,
-    /// Every wire error-enum variant is mapped in the error path and
-    /// constructed in tests.
-    WireErrorExhaustive,
     /// Wire-read lengths must pass a clamp before reaching an allocation
     /// or indexing sink (intra-procedural dataflow, hostile files only).
     HostileLengthTaint,
@@ -50,16 +41,13 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in the order `--list-rules` prints them.
-    pub const ALL: [Rule; 13] = [
+    pub const ALL: [Rule; 10] = [
         Rule::UnsafeSafety,
         Rule::NoPanicHostile,
         Rule::AtomicsOrdering,
         Rule::NoAllocHotPath,
-        Rule::WireKindCoverage,
         Rule::LockOrder,
-        Rule::CounterDrift,
         Rule::InstantSpan,
-        Rule::WireErrorExhaustive,
         Rule::HostileLengthTaint,
         Rule::GuardBlocking,
         Rule::ChannelCapacity,
@@ -72,11 +60,8 @@ impl Rule {
             Rule::NoPanicHostile => "no-panic-on-hostile-input",
             Rule::AtomicsOrdering => "atomics-ordering-audit",
             Rule::NoAllocHotPath => "no-alloc-in-hot-path",
-            Rule::WireKindCoverage => "wire-kind-coverage",
             Rule::LockOrder => "lock-order",
-            Rule::CounterDrift => "relaxed-counter-drift",
             Rule::InstantSpan => "instant-outside-span",
-            Rule::WireErrorExhaustive => "wire-error-exhaustiveness",
             Rule::HostileLengthTaint => "hostile-length-taint",
             Rule::GuardBlocking => "guard-held-across-blocking",
             Rule::ChannelCapacity => "channel-capacity-audit",
@@ -95,20 +80,11 @@ impl Rule {
                 "SeqCst, and Relaxed in RMW/flag-publish position, need an `// ordering:` comment"
             }
             Rule::NoAllocHotPath => "functions marked `// lint: hot-path` must not allocate",
-            Rule::WireKindCoverage => {
-                "every wire enum variant is exercised by the owning crate's test suites"
-            }
             Rule::LockOrder => {
-                "the cross-file lock-acquisition graph must be cycle-free (potential deadlocks)"
-            }
-            Rule::CounterDrift => {
-                "surfaced metrics counters are read via the registry, never ad-hoc `.load()`s"
+                "the cross-file lock-acquisition graph has no edges: no lock is taken while another is held"
             }
             Rule::InstantSpan => {
                 "`Instant::now()` in serve/obs code starts an observed span or has `// timing:`"
-            }
-            Rule::WireErrorExhaustive => {
-                "every wire error variant is mapped in the error path and constructed in tests"
             }
             Rule::HostileLengthTaint => {
                 "wire-read lengths are clamped (`MAX_*`/`.len()`/`.min(…)`) before allocation/indexing"
@@ -567,7 +543,7 @@ fn check_hot_paths(f: &SourceFile, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 12: channel-capacity-audit
+// Rule 9: channel-capacity-audit
 // ---------------------------------------------------------------------------
 
 /// `capacity:` marker in a comment (case-insensitive), mirroring the
@@ -735,54 +711,11 @@ pub fn check_file(cfg: &Config, f: &SourceFile, findings: &mut Vec<Finding>, inv
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: wire-kind-coverage (cross-file)
+// Cross-file helpers
 // ---------------------------------------------------------------------------
 
-/// Find a `(pub) enum <name>` declaration; return (line, variant names).
-fn find_enum(f: &SourceFile, name: &str) -> Option<(usize, Vec<String>)> {
-    for (i, line) in f.code.iter().enumerate() {
-        let Some(e) = find_word(line, "enum") else {
-            continue;
-        };
-        let rest = line[e + "enum".len()..].trim_start();
-        let matches_name = rest.starts_with(name)
-            && !rest
-                .as_bytes()
-                .get(name.len())
-                .is_some_and(|&c| is_ident_byte(c));
-        if !matches_name {
-            continue;
-        }
-        let end = item_span(&f.code, i)?;
-        let mut depth = 0i64;
-        let mut variants = Vec::new();
-        for li in i..=end {
-            if li > i && depth == 1 {
-                let t = f.code[li].trim();
-                let ident: String = t
-                    .bytes()
-                    .take_while(|&c| is_ident_byte(c))
-                    .map(char::from)
-                    .collect();
-                if !ident.is_empty() && !t.starts_with('#') {
-                    variants.push(ident);
-                }
-            }
-            for c in f.code[li].chars() {
-                match c {
-                    '{' => depth += 1,
-                    '}' => depth -= 1,
-                    _ => {}
-                }
-            }
-        }
-        return Some((i, variants));
-    }
-    None
-}
-
 /// `path::Variant` occurrence with identifier boundaries on both sides.
-pub(crate) fn contains_path(text: &str, pat: &str) -> bool {
+fn contains_path(text: &str, pat: &str) -> bool {
     let b = text.as_bytes();
     let mut start = 0usize;
     while let Some(p) = text.get(start..).and_then(|s| s.find(pat)) {
@@ -798,68 +731,8 @@ pub(crate) fn contains_path(text: &str, pat: &str) -> bool {
     false
 }
 
-pub fn check_wire_coverage(
-    cfg: &Config,
-    sources: &[SourceFile],
-    findings: &mut Vec<Finding>,
-) -> io::Result<()> {
-    for f in sources {
-        let Some((decl_line, variants)) = find_enum(f, &cfg.wire_enum) else {
-            continue;
-        };
-        let comps: Vec<&str> = f.rel.split('/').collect();
-        let Some(src_idx) = comps.iter().rposition(|c| *c == "src") else {
-            continue;
-        };
-        let crate_rel = comps[..src_idx].join("/");
-        let tests_dir = cfg.root.join(&crate_rel).join("tests");
-        let mut suites = Vec::new();
-        if tests_dir.is_dir() {
-            crate::collect_rs(&cfg.root, &tests_dir, &mut suites)?;
-        }
-        if suppressed(f, decl_line, Rule::WireKindCoverage) {
-            continue;
-        }
-        if suites.is_empty() {
-            findings.push(Finding {
-                file: f.rel.clone(),
-                line: decl_line + 1,
-                rule: Rule::WireKindCoverage,
-                message: format!(
-                    "wire enum `{}` has no `{}/tests` suite exercising its variants",
-                    cfg.wire_enum, crate_rel
-                ),
-            });
-            continue;
-        }
-        let mut text = String::new();
-        for s in &suites {
-            text.push_str(&SourceFile::load(&cfg.root, s)?.code.join("\n"));
-            text.push('\n');
-        }
-        for v in &variants {
-            let pat = format!("{}::{v}", cfg.wire_enum);
-            if !contains_path(&text, &pat) {
-                findings.push(Finding {
-                    file: f.rel.clone(),
-                    line: decl_line + 1,
-                    rule: Rule::WireKindCoverage,
-                    message: format!(
-                        "variant `{pat}` is not exercised by any test under `{crate_rel}/tests`"
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Rule 6: relaxed-counter-drift (cross-file)
-// ---------------------------------------------------------------------------
-
 /// Function spans of a file: `(name, start line, end line)`, 0-based
-/// inclusive. Used to attribute a code line to its innermost function.
+/// inclusive.
 pub(crate) fn fn_spans(code: &[String]) -> Vec<(String, usize, usize)> {
     let mut spans = Vec::new();
     for (i, line) in code.iter().enumerate() {
@@ -882,93 +755,8 @@ pub(crate) fn fn_spans(code: &[String]) -> Vec<(String, usize, usize)> {
     spans
 }
 
-fn innermost_fn(spans: &[(String, usize, usize)], line: usize) -> Option<&str> {
-    spans
-        .iter()
-        .filter(|(_, s, e)| *s <= line && line <= *e)
-        .max_by_key(|(_, s, _)| *s)
-        .map(|(n, _, _)| n.as_str())
-}
-
-/// The identifiers surfaced through `push_counter(…)` calls in the metrics
-/// export surface: the trailing identifier of each value expression
-/// (`stats.requests` → `requests`, `obs.finished()` → `finished`).
-fn surfaced_counters(f: &SourceFile) -> Vec<String> {
-    let mut out = Vec::new();
-    for line in &f.code {
-        if method_call(line, "push_counter").is_none() {
-            continue;
-        }
-        // The metric-name string body is blanked in the code view, so the
-        // first `,` is the argument separator.
-        let Some(comma) = line.find(',') else {
-            continue;
-        };
-        let expr = &line[comma + 1..];
-        let last_ident = expr
-            .split(|c: char| !is_ident_byte(c as u8) || !c.is_ascii())
-            .rfind(|s| !s.is_empty());
-        if let Some(id) = last_ident {
-            if !out.iter().any(|o| o == id) {
-                out.push(id.to_string());
-            }
-        }
-    }
-    out
-}
-
-/// Every counter surfaced in the metrics snapshot must be read through the
-/// registry's sanctioned reader functions (`snapshot`, `process_totals`,
-/// `delta_since`, `read`) or a getter named after the counter itself —
-/// never an ad-hoc `.load()` sprinkled elsewhere, which silently drifts
-/// from the unified `MetricsSnapshot` the moment someone adds a field.
-pub fn check_counter_drift(cfg: &Config, sources: &[SourceFile], findings: &mut Vec<Finding>) {
-    let mut surfaced: Vec<String> = Vec::new();
-    for f in sources {
-        if f.rel.ends_with(&cfg.counter_surface_suffix) {
-            surfaced.extend(surfaced_counters(f));
-        }
-    }
-    if surfaced.is_empty() {
-        return;
-    }
-    for f in sources {
-        let spans = fn_spans(&f.code);
-        for i in 0..f.code.len() {
-            if f.is_test[i] {
-                continue;
-            }
-            let code = &f.code[i];
-            for ident in &surfaced {
-                let pat = format!("{ident}.load");
-                if method_call(code, "load").is_none() || !contains_path(code, &pat) {
-                    continue;
-                }
-                let encl = innermost_fn(&spans, i);
-                let sanctioned = encl.is_some_and(|n| {
-                    n == ident || cfg.sanctioned_counter_readers.iter().any(|s| s == n)
-                });
-                if sanctioned || suppressed(f, i, Rule::CounterDrift) {
-                    continue;
-                }
-                findings.push(Finding {
-                    file: f.rel.clone(),
-                    line: i + 1,
-                    rule: Rule::CounterDrift,
-                    message: format!(
-                        "counter `{ident}` is surfaced in the metrics snapshot but read with an \
-                         ad-hoc `.load()` here; read it via the registry ({}) or a `{ident}()` \
-                         getter so the exported totals cannot drift",
-                        cfg.sanctioned_counter_readers.join("/"),
-                    ),
-                });
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Rule 7: instant-outside-span
+// Rule 6: instant-outside-span
 // ---------------------------------------------------------------------------
 
 /// `timing:` marker in a comment (case-insensitive), mirroring the
@@ -1033,97 +821,4 @@ pub fn check_instant_spans(cfg: &Config, sources: &[SourceFile], findings: &mut 
             });
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 8: wire-error-exhaustiveness (cross-file)
-// ---------------------------------------------------------------------------
-
-/// Every variant of the wire error enum must be (a) *mapped* somewhere in
-/// the owning crate's production code — an `=>` arm rendering or
-/// translating it, so no error is silently unreachable in the net→frame
-/// path — and (b) *constructed in tests* (inline `#[cfg(test)]` code or the
-/// crate's `tests/` suites), so decode paths that should produce it are
-/// actually exercised.
-pub fn check_wire_error_coverage(
-    cfg: &Config,
-    sources: &[SourceFile],
-    findings: &mut Vec<Finding>,
-) -> io::Result<()> {
-    for f in sources {
-        let Some((decl_line, variants)) = find_enum(f, &cfg.wire_error_enum) else {
-            continue;
-        };
-        if suppressed(f, decl_line, Rule::WireErrorExhaustive) {
-            continue;
-        }
-        let decl_end = item_span(&f.code, decl_line).unwrap_or(decl_line);
-        let comps: Vec<&str> = f.rel.split('/').collect();
-        let Some(src_idx) = comps.iter().rposition(|c| *c == "src") else {
-            continue;
-        };
-        let crate_rel = comps[..src_idx].join("/");
-        let crate_prefix = format!("{crate_rel}/");
-
-        // Production text (mapping sites) and test text (constructions).
-        let mut prod = String::new();
-        let mut test = String::new();
-        for g in sources {
-            if !g.rel.starts_with(&crate_prefix) {
-                continue;
-            }
-            for i in 0..g.code.len() {
-                let in_decl = g.rel == f.rel && i >= decl_line && i <= decl_end;
-                if in_decl {
-                    continue;
-                }
-                if g.is_test[i] {
-                    test.push_str(&g.code[i]);
-                    test.push('\n');
-                } else {
-                    prod.push_str(&g.code[i]);
-                    prod.push('\n');
-                }
-            }
-        }
-        let tests_dir = cfg.root.join(&crate_rel).join("tests");
-        let mut suites = Vec::new();
-        if tests_dir.is_dir() {
-            crate::collect_rs(&cfg.root, &tests_dir, &mut suites)?;
-        }
-        for s in &suites {
-            test.push_str(&SourceFile::load(&cfg.root, s)?.code.join("\n"));
-            test.push('\n');
-        }
-
-        for v in &variants {
-            let pat = format!("{}::{v}", cfg.wire_error_enum);
-            let mapped = prod
-                .lines()
-                .any(|l| contains_path(l, &pat) && l.contains("=>"));
-            if !mapped {
-                findings.push(Finding {
-                    file: f.rel.clone(),
-                    line: decl_line + 1,
-                    rule: Rule::WireErrorExhaustive,
-                    message: format!(
-                        "variant `{pat}` is never mapped (no `=>` arm) in `{crate_rel}` \
-                         production code; every wire error must render or translate somewhere"
-                    ),
-                });
-            }
-            if !contains_path(&test, &pat) {
-                findings.push(Finding {
-                    file: f.rel.clone(),
-                    line: decl_line + 1,
-                    rule: Rule::WireErrorExhaustive,
-                    message: format!(
-                        "variant `{pat}` is never constructed in tests (inline `#[cfg(test)]` \
-                         or `{crate_rel}/tests`); its decode path is unexercised"
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
 }

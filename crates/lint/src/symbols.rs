@@ -1,6 +1,6 @@
 //! A lightweight per-crate symbol table: just enough name resolution to
-//! support the cross-file passes (lock-order analysis, counter-drift,
-//! span-coverage) without a real type checker.
+//! support the cross-file lock passes (lock-order and
+//! guard-held-across-blocking) without a real type checker.
 //!
 //! The table records three kinds of symbols per crate:
 //!

@@ -120,39 +120,21 @@ fn alloc_free_marked_functions_pass() {
     assert_clean("hotpath_ok");
 }
 
-// ── Rule 5: wire-kind-coverage ───────────────────────────────────────────
+// ── Rule 5: lock-order (cross-file) ──────────────────────────────────────
 
 #[test]
-fn uncovered_wire_variant_is_flagged() {
-    let report = lint_fixture("wire_bad");
-    let rules = rules_of(&report);
-    assert_eq!(rules.len(), 1, "{:?}", report.findings);
-    assert_eq!(rules.first().copied().unwrap(), Rule::WireKindCoverage);
-    assert!(report.findings.first().unwrap().message.contains("Gamma"));
-}
-
-#[test]
-fn fully_covered_wire_enum_passes() {
-    assert_clean("wire_ok");
-}
-
-// ── Rule 6: lock-order (cross-file) ──────────────────────────────────────
-
-#[test]
-fn two_lock_cycle_reports_one_finding_with_both_witnesses() {
+fn nested_lock_acquisition_is_flagged() {
     let report = lint_fixture("lockorder_bad");
     let rules = rules_of(&report);
     assert_eq!(rules.len(), 1, "{:?}", report.findings);
     assert_eq!(rules.first().copied().unwrap(), Rule::LockOrder);
     let message = &report.findings.first().unwrap().message;
     assert!(
-        message.contains("(in `fwd`)") && message.contains("(in `rev`)"),
-        "a cycle must cite both witness paths: {message}"
+        message.contains("`app::Pair.b` is acquired while `app::Pair.a` is held")
+            && message.contains("(in `sum`)"),
+        "the finding must name the nesting and its function: {message}"
     );
-    assert!(
-        !report.lock_graph.cycles.is_empty(),
-        "the JSON lock graph must record the cycle"
-    );
+    assert_eq!(report.lock_graph.edges.len(), 1);
 }
 
 #[test]
@@ -166,34 +148,12 @@ fn consistent_order_with_call_expansion_edge_is_clean() {
             .iter()
             .any(|e| e.from == "app::State.conns" && e.to == "app::State.stats"),
         "holding `conns` across a call to `inner` (which takes `stats`) must \
-         produce the expanded edge: {:?}",
+         produce the expanded edge, waived but still in the graph: {:?}",
         report.lock_graph.edges
     );
-    assert!(report.lock_graph.cycles.is_empty());
 }
 
-// ── Rule 7: relaxed-counter-drift ────────────────────────────────────────
-
-#[test]
-fn adhoc_load_of_surfaced_counter_is_flagged() {
-    let report = lint_fixture("counterdrift_bad");
-    let rules = rules_of(&report);
-    assert_eq!(rules.len(), 1, "{:?}", report.findings);
-    assert_eq!(rules.first().copied().unwrap(), Rule::CounterDrift);
-    assert!(report
-        .findings
-        .first()
-        .unwrap()
-        .message
-        .contains("`requests`"));
-}
-
-#[test]
-fn sanctioned_readers_and_eponymous_getter_pass() {
-    assert_clean("counterdrift_ok");
-}
-
-// ── Rule 8: instant-outside-span ─────────────────────────────────────────
+// ── Rule 6: instant-outside-span ─────────────────────────────────────────
 
 #[test]
 fn bare_instant_in_observed_scope_is_flagged() {
@@ -208,31 +168,7 @@ fn span_idiom_timing_comment_and_tests_pass() {
     assert_clean("instant_ok");
 }
 
-// ── Rule 9: wire-error-exhaustiveness ────────────────────────────────────
-
-#[test]
-fn unmapped_and_untested_wire_error_variant_is_flagged_twice() {
-    let report = lint_fixture("wireerr_bad");
-    let rules = rules_of(&report);
-    assert_eq!(rules.len(), 2, "{:?}", report.findings);
-    assert!(rules.iter().all(|r| *r == Rule::WireErrorExhaustive));
-    let messages: String = report
-        .findings
-        .iter()
-        .map(|f| f.message.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(messages.contains("never mapped"));
-    assert!(messages.contains("never constructed in tests"));
-    assert!(messages.contains("BadMagic"));
-}
-
-#[test]
-fn fully_mapped_and_tested_wire_error_enum_passes() {
-    assert_clean("wireerr_ok");
-}
-
-// ── Rule 10: hostile-length-taint ────────────────────────────────────────
+// ── Rule 7: hostile-length-taint ─────────────────────────────────────────
 
 #[test]
 fn unclamped_wire_lengths_reaching_sinks_are_flagged() {
@@ -253,7 +189,7 @@ fn clamped_wire_lengths_pass_and_flows_are_still_recorded() {
     assert!(report.inventory.taint_flows.iter().all(|t| t.sanitized));
 }
 
-// ── Rule 11: guard-held-across-blocking ──────────────────────────────────
+// ── Rule 8: guard-held-across-blocking ───────────────────────────────────
 
 #[test]
 fn guard_held_across_recv_is_flagged() {
@@ -274,7 +210,7 @@ fn scoped_guards_nonblocking_polls_and_justified_holds_pass() {
     assert_clean("guardblock_ok");
 }
 
-// ── Rule 12: channel-capacity-audit ──────────────────────────────────────
+// ── Rule 9: channel-capacity-audit ───────────────────────────────────────
 
 #[test]
 fn unjustified_channels_are_flagged_per_boundedness_class() {
@@ -328,12 +264,9 @@ const BAD_CASES: &[(&str, Rule)] = &[
     ("panic_bad", Rule::NoPanicHostile),
     ("atomics_bad", Rule::AtomicsOrdering),
     ("hotpath_bad", Rule::NoAllocHotPath),
-    ("wire_bad", Rule::WireKindCoverage),
     ("suppress_bad", Rule::Suppression),
     ("lockorder_bad", Rule::LockOrder),
-    ("counterdrift_bad", Rule::CounterDrift),
     ("instant_bad", Rule::InstantSpan),
-    ("wireerr_bad", Rule::WireErrorExhaustive),
     ("taint_bad", Rule::HostileLengthTaint),
     ("guardblock_bad", Rule::GuardBlocking),
     ("chancap_bad", Rule::ChannelCapacity),
@@ -381,11 +314,8 @@ fn deny_gate_passes_on_good_fixtures() {
         "panic_ok",
         "atomics_ok",
         "hotpath_ok",
-        "wire_ok",
         "lockorder_ok",
-        "counterdrift_ok",
         "instant_ok",
-        "wireerr_ok",
         "taint_ok",
         "guardblock_ok",
         "chancap_ok",

@@ -49,42 +49,6 @@
 use crate::matrix::{Matrix, Weights};
 use std::sync::OnceLock;
 
-/// Per-thread kernel timing: wall-clock nanoseconds and call counts for the
-/// three matrix-product entry points ([`Matrix::matmul_with`] and friends).
-///
-/// Thread-local `Cell`s, not atomics — the counters are bumped once per
-/// kernel *call* (not per element), and each thread reads only its own
-/// accumulation. The serving layer snapshots these around a batched model
-/// call to attribute model wall time to kernel work; benches can report
-/// aggregate kernel time per backend.
-pub mod timing {
-    use std::cell::Cell;
-    use std::time::Duration;
-
-    thread_local! {
-        static KERNEL_NS: Cell<u64> = const { Cell::new(0) };
-        static KERNEL_CALLS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// Record one kernel invocation of duration `d` on this thread.
-    #[inline]
-    pub fn record(d: Duration) {
-        let ns = d.as_nanos().min(u64::MAX as u128) as u64;
-        let _ = KERNEL_NS.try_with(|c| c.set(c.get().saturating_add(ns)));
-        let _ = KERNEL_CALLS.try_with(|c| c.set(c.get() + 1));
-    }
-
-    /// Total kernel nanoseconds accumulated on the calling thread.
-    pub fn thread_nanos() -> u64 {
-        KERNEL_NS.try_with(Cell::get).unwrap_or(0)
-    }
-
-    /// Total kernel invocations on the calling thread.
-    pub fn thread_calls() -> u64 {
-        KERNEL_CALLS.try_with(Cell::get).unwrap_or(0)
-    }
-}
-
 /// Which compute-kernel implementation tier to run.
 ///
 /// All three produce **bit-identical** outputs for every input — the choice
@@ -433,7 +397,6 @@ impl Matrix {
             acc.rows(),
             acc.cols()
         );
-        let t_kernel = std::time::Instant::now();
         let skip_zeros = b.is_finite();
         let b = b.as_slice();
         let n = acc.cols();
@@ -461,14 +424,12 @@ impl Matrix {
                 KernelBackend::Simd => matmul_rows_simd(ad, k, b, n, first_row, chunk, skip_zeros),
             }
         });
-        timing::record(t_kernel.elapsed());
     }
 
     /// `selfᵀ @ other` through the row-partitioned kernel. Bit-identical to
     /// [`Matrix::t_matmul`] for every input.
     pub fn t_matmul_with(&self, other: &Matrix, par: Parallelism) -> Matrix {
         assert_eq!(self.rows(), other.rows(), "t_matmul shape mismatch");
-        let t_kernel = std::time::Instant::now();
         let skip_zeros = other.all_finite();
         let mut out = Matrix::zeros(self.cols(), other.cols());
         let n = other.cols();
@@ -504,7 +465,6 @@ impl Matrix {
                 ),
             }
         });
-        timing::record(t_kernel.elapsed());
         out
     }
 
@@ -512,7 +472,6 @@ impl Matrix {
     /// [`Matrix::matmul_t`] for every input.
     pub fn matmul_t_with(&self, other: &Matrix, par: Parallelism) -> Matrix {
         assert_eq!(self.cols(), other.cols(), "matmul_t shape mismatch");
-        let t_kernel = std::time::Instant::now();
         let mut out = Matrix::zeros(self.rows(), other.rows());
         let n = other.rows();
         let k = self.cols();
@@ -554,7 +513,6 @@ impl Matrix {
                 _ => matmul_t_rows(self.as_slice(), k, other.as_slice(), n, first_row, chunk),
             }
         });
-        timing::record(t_kernel.elapsed());
         out
     }
 }

@@ -1,9 +1,11 @@
 //! Log-bucketed latency histograms with lock-free concurrent recording.
 //!
 //! Bucket `b` covers `[2^b, 2^{b+1})` nanoseconds (bucket 0 additionally
-//! absorbs 0 ns), mirroring the convention used by `ServiceStats` in
-//! `cardest-serve` so quantiles from the two layers are directly comparable.
-//! 48 buckets cover ~78 hours, far beyond any plausible request latency.
+//! absorbs 0 ns). This is the one latency histogram in the stack: the
+//! per-stage traces here and `ServiceStats`' end-to-end latency in
+//! `cardest-serve` both record into a [`LogHistogram`], so their quantiles
+//! are read by the same code. 48 buckets cover ~78 hours, far beyond any
+//! plausible request latency.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -2,8 +2,9 @@
 //!
 //! Std-only building blocks threaded through the whole request path:
 //!
-//! - [`LogHistogram`] — lock-free log2-bucketed latency histograms, using
-//!   the same bucket convention as `ServiceStats` so quantiles line up.
+//! - [`LogHistogram`] — lock-free log2-bucketed latency histograms: the one
+//!   histogram type behind every latency the stack reports, `ServiceStats`'
+//!   end-to-end latency included.
 //! - [`Stage`] / [`TraceBuilder`] / [`Trace`] — a zero-allocation span API
 //!   over a monotonic clock: jobs carry a fixed-size [`TraceBuilder`] and
 //!   each pipeline stage adds its elapsed time with one array store.
@@ -16,20 +17,19 @@
 //!   ([`MetricsSnapshot::render_prometheus`]) and JSON rendering
 //!   ([`MetricsSnapshot::render_json`]), shared by the wire `Stats` frame
 //!   and the HTTP metrics endpoint.
-//! - [`witness`] — a process-wide lock-witness callback hook: the embedding
-//!   service installs two `fn` pointers and every `Observer` internal lock
-//!   acquisition is reported to its runtime lock-rank checker, without obs
-//!   taking any dependency on the layers above it.
+//! - [`one_lock`] — the debug-build lock witness: every tracked lock
+//!   acquisition, in this crate and in the layers above it, checks that its
+//!   thread holds no other tracked lock.
 //!
 //! This crate depends on nothing (std only) so every layer — core, nn,
 //! serve, bench — can feed it without dependency cycles.
 
 pub mod hist;
+pub mod lockwitness;
 pub mod snapshot;
 pub mod trace;
-pub mod witness;
 
 pub use hist::{bucket_midpoint_ns, bucket_of, HistogramSnapshot, LogHistogram, HIST_BUCKETS};
+pub use lockwitness::{one_lock, OneLock};
 pub use snapshot::{json_f64, json_str, MetricsSnapshot};
 pub use trace::{ObsConfig, Observer, Stage, Trace, TraceBuilder, STAGES, STAGE_COUNT};
-pub use witness::{install as install_witness, ObsLock, WitnessHook};

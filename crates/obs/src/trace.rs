@@ -20,7 +20,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::hist::{HistogramSnapshot, LogHistogram};
-use crate::witness::{self, ObsLock};
+use crate::lockwitness::one_lock;
 
 /// Pipeline stages instrumented along the serving path, in request order.
 ///
@@ -306,7 +306,7 @@ impl Observer {
         };
         if sampled && self.ring_capacity > 0 {
             self.captured.fetch_add(1, Ordering::Relaxed);
-            let _witness = witness::acquire(ObsLock::Ring);
+            let _one = one_lock();
             let mut ring = self.ring.lock().unwrap();
             if ring.len() == self.ring_capacity {
                 ring.pop_front();
@@ -315,7 +315,7 @@ impl Observer {
         }
         if slow && self.slow_capacity > 0 {
             self.slow_seen.fetch_add(1, Ordering::Relaxed);
-            let _witness = witness::acquire(ObsLock::Slow);
+            let _one = one_lock();
             let mut log = self.slow.lock().unwrap();
             if log.len() == self.slow_capacity {
                 log.pop_front();
@@ -326,7 +326,7 @@ impl Observer {
 
     /// Most recent sampled traces, oldest first, at most `max`.
     pub fn recent_traces(&self, max: usize) -> Vec<Trace> {
-        let _witness = witness::acquire(ObsLock::Ring);
+        let _one = one_lock();
         let ring = self.ring.lock().unwrap();
         let skip = ring.len().saturating_sub(max);
         ring.iter().skip(skip).copied().collect()
@@ -334,7 +334,7 @@ impl Observer {
 
     /// Most recent slow-query traces, oldest first, at most `max`.
     pub fn slow_traces(&self, max: usize) -> Vec<Trace> {
-        let _witness = witness::acquire(ObsLock::Slow);
+        let _one = one_lock();
         let log = self.slow.lock().unwrap();
         let skip = log.len().saturating_sub(max);
         log.iter().skip(skip).copied().collect()

@@ -20,8 +20,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
-use crate::lockwitness::{self, TrackedLock};
-
 /// Outcome of a cache probe.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum CacheLookup {
@@ -235,7 +233,7 @@ impl EstimateCache {
         if !self.enabled {
             return CacheLookup::Miss;
         }
-        let _witness = lockwitness::acquire(TrackedLock::CacheShard);
+        let _one = cardest_obs::one_lock();
         self.shard(epoch, fp)
             .lock()
             .expect("cache poisoned")
@@ -246,7 +244,7 @@ impl EstimateCache {
         if !self.enabled {
             return;
         }
-        let _witness = lockwitness::acquire(TrackedLock::CacheShard);
+        let _one = cardest_obs::one_lock();
         self.shard(epoch, fp)
             .lock()
             .expect("cache poisoned")
@@ -258,7 +256,7 @@ impl EstimateCache {
         self.shards
             .iter()
             .map(|s| {
-                let _witness = lockwitness::acquire(TrackedLock::CacheShard);
+                let _one = cardest_obs::one_lock();
                 s.lock().expect("cache poisoned").len
             })
             .sum()
@@ -277,7 +275,7 @@ impl EstimateCache {
         self.shards
             .iter()
             .map(|s| {
-                let _witness = lockwitness::acquire(TrackedLock::CacheShard);
+                let _one = cardest_obs::one_lock();
                 s.lock().expect("cache poisoned").index.len()
             })
             .sum()

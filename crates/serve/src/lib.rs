@@ -49,7 +49,6 @@
 
 pub mod cache;
 pub mod http;
-pub mod lockwitness;
 pub mod net;
 pub mod obs_export;
 pub mod registry;

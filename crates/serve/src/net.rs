@@ -38,7 +38,6 @@
 //! consuming, writers flush every response already in flight, then the
 //! service joins.
 
-use crate::lockwitness::{self, TrackedLock};
 use crate::obs_export;
 use crate::service::{EstimateSource, Request, Response, ServeError, Service};
 use crate::wire::{
@@ -211,7 +210,7 @@ impl NetServer {
         let joins: Vec<JoinHandle<()>> = {
             // A panicked connection thread poisons the join list; shutdown
             // must still drain it, so recover the guard instead of panicking.
-            let _witness = lockwitness::acquire(TrackedLock::ConnJoins);
+            let _one = cardest_obs::one_lock();
             let mut guard = self
                 .conn_joins
                 .lock()
@@ -259,7 +258,7 @@ fn accept_loop(
                 // Only this accept thread ever locks the join list while
                 // running; recover from a poison left by a panicking
                 // shutdown path rather than taking the accept loop down.
-                let _witness = lockwitness::acquire(TrackedLock::ConnJoins);
+                let _one = cardest_obs::one_lock();
                 let mut joins = conn_joins
                     .lock()
                     .unwrap_or_else(|poisoned| poisoned.into_inner());

@@ -24,8 +24,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::lockwitness::{self, TrackedLock};
-
 /// An immutable published model: the unit of hot-swap.
 pub struct ServeModel {
     /// Registry name this model was published under.
@@ -67,7 +65,7 @@ impl ModelRegistry {
     /// model finish on their own `Arc`; new lookups observe the swap.
     pub fn publish(&self, name: &str, estimator: CardNetEstimator) -> u64 {
         let monotone = estimator.is_monotonic();
-        let _witness = lockwitness::acquire(TrackedLock::RegistryModels);
+        let _one = cardest_obs::one_lock();
         let mut models = self.models.lock().expect("registry poisoned");
         // The epoch is bumped under the same lock that installs the model, so
         // a reader that observes the new epoch also observes the new Arc.
@@ -103,7 +101,7 @@ impl ModelRegistry {
     /// Current model for `name`, if any. Takes the registry lock briefly;
     /// hot paths should go through a [`RegistryReader`] instead.
     pub fn get(&self, name: &str) -> Option<Arc<ServeModel>> {
-        let _witness = lockwitness::acquire(TrackedLock::RegistryModels);
+        let _one = cardest_obs::one_lock();
         self.models
             .lock()
             .expect("registry poisoned")
@@ -117,7 +115,7 @@ impl ModelRegistry {
     }
 
     pub fn model_names(&self) -> Vec<String> {
-        let _witness = lockwitness::acquire(TrackedLock::RegistryModels);
+        let _one = cardest_obs::one_lock();
         let mut names: Vec<String> = self
             .models
             .lock()

@@ -19,7 +19,6 @@
 //! thread to idle when traffic stops.
 
 use crate::cache::{CacheLookup, EstimateCache};
-use crate::lockwitness::{self, TrackedLock};
 use crate::registry::{ModelRegistry, RegistryReader, ServeModel};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use cardest_core::{CardinalityEstimator, Estimate, PreparedQuery};
@@ -313,9 +312,6 @@ pub struct Service {
 
 impl Service {
     pub fn start(registry: Arc<ModelRegistry>, config: ServeConfig) -> Service {
-        // Bridge the observer's internal locks onto the debug lock witness
-        // before any worker can touch them (idempotent, no-op in release).
-        lockwitness::install_obs_witness();
         let cache = Arc::new(EstimateCache::new(config.cache_capacity));
         let stats = Arc::new(ServiceStats::new());
         let obs = Arc::new(Observer::new(config.obs_config()));
@@ -530,7 +526,7 @@ fn collect_batch(
     window: Duration,
     traced: bool,
 ) -> Vec<Job> {
-    let _witness = lockwitness::acquire(TrackedLock::JobQueue);
+    let _one = cardest_obs::one_lock();
     // lint: allow(guard-held-across-blocking) the queue lock IS the batch-
     // collection critical section: exactly one worker assembles a batch at a
     // time while the others sleep on the mutex, and every recv under the

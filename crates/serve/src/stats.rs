@@ -14,11 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::lockwitness::{self, TrackedLock};
+use cardest_obs::{HistogramSnapshot, LogHistogram};
 
-/// Latency buckets: bucket `b` covers `[2^b, 2^{b+1})` nanoseconds. 48
-/// buckets span 1 ns – ~3.2 days, which is every latency a service can see.
-const LATENCY_BUCKETS: usize = 48;
 /// Batch-size buckets: bucket `b` holds batches of `2^b ..= 2^{b+1} - 1`
 /// requests (bucket 0 = singletons).
 const BATCH_BUCKETS: usize = 12;
@@ -32,6 +29,24 @@ pub const MAX_TRACKED_CLIENTS: usize = 4096;
 
 /// Shared, atomically updated counters. One instance per [`crate::Service`];
 /// workers and the response path update it, reporters snapshot it.
+///
+/// Every counter is a private field, so code outside this crate reads the
+/// totals only through [`ServiceStats::snapshot`], the one reader every
+/// export surface shares:
+///
+/// ```
+/// let stats = cardest_serve::ServiceStats::new();
+/// stats.record_request();
+/// assert_eq!(stats.snapshot().requests, 1);
+/// ```
+///
+/// An ad-hoc read of the atomic itself does not compile:
+///
+/// ```compile_fail
+/// use std::sync::atomic::Ordering;
+/// let stats = cardest_serve::ServiceStats::new();
+/// let _ = stats.requests.load(Ordering::Relaxed);
+/// ```
 pub struct ServiceStats {
     /// Requests accepted (including ones answered from cache or failed).
     requests: AtomicU64,
@@ -58,7 +73,8 @@ pub struct ServiceStats {
     /// Sum of micro-batch sizes (mean batch = this / batches).
     batch_size_sum: AtomicU64,
     batch_hist: [AtomicU64; BATCH_BUCKETS],
-    latency_hist: [AtomicU64; LATENCY_BUCKETS],
+    /// End-to-end latency of every answered request.
+    latency: LogHistogram,
     /// Bytes consumed off sockets as complete wire frames (all connections).
     ingress_bytes: AtomicU64,
     /// Wire frames decoded off sockets (all connections).
@@ -102,7 +118,7 @@ impl ServiceStats {
             batches: AtomicU64::new(0),
             batch_size_sum: AtomicU64::new(0),
             batch_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            latency_hist: std::array::from_fn(|_| AtomicU64::new(0)),
+            latency: LogHistogram::new(),
             ingress_bytes: AtomicU64::new(0),
             ingress_frames: AtomicU64::new(0),
             clients: Mutex::new(HashMap::new()),
@@ -160,7 +176,7 @@ impl ServiceStats {
     /// [`ServiceStats::client_end`]; a refusal bumps the quota-reject
     /// counters instead.
     pub fn client_begin(&self, client_id: u64, quota: usize) -> bool {
-        let _witness = lockwitness::acquire(TrackedLock::StatsClients);
+        let _one = cardest_obs::one_lock();
         let mut table = self.clients.lock().expect("client table poisoned");
         // Bound the table before inserting a new id: random client ids must
         // not grow server memory without limit.
@@ -196,7 +212,7 @@ impl ServiceStats {
 
     /// Releases one admitted request for `client_id`.
     pub fn client_end(&self, client_id: u64) {
-        let _witness = lockwitness::acquire(TrackedLock::StatsClients);
+        let _one = cardest_obs::one_lock();
         let mut table = self.clients.lock().expect("client table poisoned");
         if let Some(entry) = table.get_mut(&client_id) {
             entry.outstanding = entry.outstanding.saturating_sub(1);
@@ -207,7 +223,7 @@ impl ServiceStats {
     /// are credited — inserting here would let shed attribution re-grow the
     /// bounded table past [`MAX_TRACKED_CLIENTS`].
     pub fn client_shed(&self, client_id: u64) {
-        let _witness = lockwitness::acquire(TrackedLock::StatsClients);
+        let _one = cardest_obs::one_lock();
         let mut table = self.clients.lock().expect("client table poisoned");
         if let Some(entry) = table.get_mut(&client_id) {
             entry.shed += 1;
@@ -216,7 +232,7 @@ impl ServiceStats {
 
     /// Point-in-time copy of one client's counters.
     pub fn client_stats(&self, client_id: u64) -> ClientStats {
-        let _witness = lockwitness::acquire(TrackedLock::StatsClients);
+        let _one = cardest_obs::one_lock();
         self.clients
             .lock()
             .expect("client table poisoned")
@@ -237,20 +253,13 @@ impl ServiceStats {
 
     /// End-to-end latency of one answered request (enqueue → response sent).
     pub fn record_latency(&self, latency: Duration) {
-        let ns = latency.as_nanos().max(1) as u64;
-        let bucket = (63 - ns.leading_zeros()) as usize;
-        self.latency_hist[bucket.min(LATENCY_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        self.latency.record(latency);
     }
 
     /// A consistent-enough copy for reporting (individual counters are read
     /// relaxed; exactness across counters is not needed for monitoring).
     pub fn snapshot(&self) -> StatsSnapshot {
-        let latency: Vec<u64> = self
-            .latency_hist
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        let _witness = lockwitness::acquire(TrackedLock::StatsClients);
+        let _one = cardest_obs::one_lock();
         let mut clients: Vec<(u64, ClientStats)> = self
             .clients
             .lock()
@@ -277,18 +286,11 @@ impl ServiceStats {
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
-            latency_hist: latency,
+            latency_hist: self.latency.snapshot(),
             ingress_bytes: self.ingress_bytes.load(Ordering::Relaxed),
             ingress_frames: self.ingress_frames.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Geometric midpoint of latency bucket `b`, i.e. of `[2^b, 2^{b+1})` ns:
-/// `2^b · √2`. Every quantile read — including the saturated top bucket —
-/// reports this midpoint, so quantiles stay mutually consistent.
-fn bucket_geometric_midpoint(b: usize) -> Duration {
-    Duration::from_nanos((2f64.powi(b as i32) * std::f64::consts::SQRT_2).round() as u64)
 }
 
 /// A point-in-time copy of [`ServiceStats`] with derived rates/quantiles.
@@ -312,8 +314,9 @@ pub struct StatsSnapshot {
     pub batch_size_sum: u64,
     /// Count of micro-batches whose size fell in `[2^b, 2^{b+1})`.
     pub batch_hist: Vec<u64>,
-    /// Count of requests whose latency fell in `[2^b, 2^{b+1})` ns.
-    pub latency_hist: Vec<u64>,
+    /// End-to-end request latencies, log2-bucketed: bucket `b` counts the
+    /// requests whose latency fell in `[2^b, 2^{b+1})` ns.
+    pub latency_hist: HistogramSnapshot,
     /// Bytes consumed off sockets as complete wire frames.
     pub ingress_bytes: u64,
     /// Wire frames decoded off sockets.
@@ -370,26 +373,11 @@ impl StatsSnapshot {
 
     /// Approximate latency quantile (`q` in `[0, 1]`) from the log-bucketed
     /// histogram: the geometric midpoint of the bucket holding the q-th
-    /// request. Buckets cover `[2^b, 2^{b+1})`, so the resolution is a
-    /// factor of 2 (each reported value is within √2 of the true one) —
-    /// plenty for p50/p99 reporting.
+    /// request ([`HistogramSnapshot::quantile_ns`]). Buckets cover
+    /// `[2^b, 2^{b+1})`, so the resolution is a factor of 2 (each reported
+    /// value is within √2 of the true one) — plenty for p50/p99 reporting.
     pub fn latency_quantile(&self, q: f64) -> Duration {
-        let total: u64 = self.latency_hist.iter().sum();
-        if total == 0 {
-            return Duration::ZERO;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (b, &count) in self.latency_hist.iter().enumerate() {
-            seen += count;
-            if seen >= target {
-                return bucket_geometric_midpoint(b);
-            }
-        }
-        // Unreachable (the counts sum to `total`), but stay consistent with
-        // the per-bucket midpoint convention rather than returning the
-        // saturated bucket's *edge*.
-        bucket_geometric_midpoint(self.latency_hist.len() - 1)
+        Duration::from_nanos(self.latency_hist.quantile_ns(q))
     }
 
     /// `(size-range label, count)` rows for the non-empty batch buckets.
@@ -537,9 +525,8 @@ mod tests {
         assert!(p50 >= Duration::from_micros(5) && p50 <= Duration::from_micros(20));
         // The overflow bucket reports its geometric midpoint — the same
         // convention as every other bucket — not the bucket edge.
-        let top = LATENCY_BUCKETS - 1;
-        let expected =
-            Duration::from_nanos((2f64.powi(top as i32) * std::f64::consts::SQRT_2).round() as u64);
+        let top = cardest_obs::HIST_BUCKETS - 1;
+        let expected = Duration::from_nanos(cardest_obs::bucket_midpoint_ns(top));
         assert_eq!(p100, expected);
         assert!(p100 >= Duration::from_nanos(1 << top));
         assert!(p100 < Duration::from_nanos(1 << (top + 1)));

@@ -68,7 +68,7 @@ proptest! {
         // deterministic walk)...
         let mut sorted = latencies.clone();
         sorted.sort_unstable();
-        let n_buckets = conc_snap.latency_hist.len();
+        let n_buckets = conc_snap.latency_hist.buckets.len();
         for &q in &[0.50, 0.99] {
             let conc_q = conc_snap.latency_quantile(q).as_nanos() as u64;
             let serial_q = serial_snap.latency_quantile(q).as_nanos() as u64;
