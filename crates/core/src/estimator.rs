@@ -868,22 +868,45 @@ mod tests {
 
     #[test]
     fn prepared_sweep_runs_the_encoder_once() {
-        let (est, ds) = trained(false);
-        let q = &ds.records[9];
-        let before = ApiCounters::snapshot();
-        let prepared = est.prepare(q);
-        let after_prepare = ApiCounters::snapshot().delta_since(&before);
-        assert_eq!(after_prepare.extractions, 1);
-        assert_eq!(after_prepare.encoder_passes, 0, "prepare is lazy");
-        for step in 0..=20 {
-            let theta = ds.theta_max * f64::from(step) / 20.0;
-            // The sweep exists for its counter side effects; the curves are
-            // deliberately dropped.
-            let _ = est.curve(&prepared, theta);
+        for accelerated in [false, true] {
+            let (est, ds) = trained(accelerated);
+            let q = &ds.records[9];
+            let thetas: Vec<f64> = (0..=20)
+                .map(|step| ds.theta_max * f64::from(step) / 20.0)
+                .collect();
+            let k = thetas.len() as u64;
+
+            // Naive sweep: every scalar call extracts and encodes afresh.
+            let before = ApiCounters::snapshot();
+            let naive: Vec<f64> = thetas.iter().map(|&t| est.estimate(q, t)).collect();
+            let delta = ApiCounters::snapshot().delta_since(&before);
+            assert_eq!(
+                delta.extractions, k,
+                "accel={accelerated}: naive extractions"
+            );
+            assert_eq!(
+                delta.encoder_passes, k,
+                "accel={accelerated}: naive encoder passes"
+            );
+
+            // Prepared sweep: one extraction and one encoder pass in total.
+            let before = ApiCounters::snapshot();
+            let prepared = est.prepare(q);
+            let after_prepare = ApiCounters::snapshot().delta_since(&before);
+            assert_eq!(after_prepare.extractions, 1);
+            assert_eq!(after_prepare.encoder_passes, 0, "prepare is lazy");
+            for (&theta, want) in thetas.iter().zip(&naive) {
+                let got = est.estimate_prepared(&prepared, theta);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "accel={accelerated} θ={theta}"
+                );
+            }
+            let delta = ApiCounters::snapshot().delta_since(&before);
+            assert_eq!(delta.extractions, 1, "one extraction for the whole sweep");
+            assert_eq!(delta.encoder_passes, 1, "one encoder pass for the sweep");
         }
-        let delta = ApiCounters::snapshot().delta_since(&before);
-        assert_eq!(delta.extractions, 1, "one extraction for the whole sweep");
-        assert_eq!(delta.encoder_passes, 1, "one encoder pass for the sweep");
     }
 
     #[test]

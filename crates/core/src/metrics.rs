@@ -5,8 +5,9 @@
 //! **one** feature extraction and **one** encoder pass instead of k. These
 //! counters make that claim checkable: the CardNet inference paths bump them
 //! on every `h_rec` extraction, every encoder forward, and every decoder
-//! evaluation, and the `exp_api_sweep` bench smoke (and any unit test) can
-//! snapshot them around a sweep and assert the exact ratio.
+//! evaluation, and a test can snapshot them around a sweep and assert the
+//! exact ratio (`estimator::tests::prepared_sweep_runs_the_encoder_once`
+//! does, for both encoder kinds).
 //!
 //! Two views exist over the same counters:
 //!

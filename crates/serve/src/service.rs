@@ -8,7 +8,8 @@
 //! served estimates are **bit-identical** to `estimator.estimate(q, θ)` run
 //! on one thread with no batching. That invariant is what makes the cache
 //! sound (a cached value *is* the value) and is asserted by the integration
-//! tests and by `exp_serve`.
+//! tests (`tests/serve.rs` across worker counts, batch windows and cache
+//! settings; `tests/serve_net.rs` over the socket).
 //!
 //! Concurrency layout: one shared queue, `workers` threads. A worker locks
 //! the queue only while *collecting* a batch (blocking for at most
@@ -507,25 +508,28 @@ fn worker_loop(
     cfg: &ServeConfig,
 ) {
     loop {
-        let batch = collect_batch(rx, stop, cfg.batch_max, cfg.batch_window, obs.enabled());
+        let (batch, sealed) =
+            collect_batch(rx, stop, cfg.batch_max, cfg.batch_window, obs.enabled());
         if batch.is_empty() {
             return; // queue disconnected or service stopped
         }
-        process_batch(batch, &mut reader, cache, stats, obs, cfg);
+        process_batch(batch, sealed, &mut reader, cache, stats, obs, cfg);
     }
 }
 
 /// Blocks for the first job (waking every [`IDLE_TICK`] to honor shutdown),
 /// then fills the batch until `batch_max`, the window closes, or the queue
 /// drains. The queue lock is held throughout — collection is serialized
-/// across workers, computation is not.
+/// across workers, computation is not. When `traced`, also returns the seal
+/// stamp that ended each job's `BatchWindow` span, so the next span starts
+/// where this one ended.
 fn collect_batch(
     rx: &Mutex<Receiver<Job>>,
     stop: &AtomicBool,
     batch_max: usize,
     window: Duration,
     traced: bool,
-) -> Vec<Job> {
+) -> (Vec<Job>, Option<Instant>) {
     let _one = cardest_obs::one_lock();
     // lint: allow(guard-held-across-blocking) the queue lock IS the batch-
     // collection critical section: exactly one worker assembles a batch at a
@@ -537,13 +541,13 @@ fn collect_batch(
             // Drain-but-stop: answer anything already queued, then exit.
             match rx.try_recv() {
                 Ok(job) => break job,
-                Err(_) => return Vec::new(),
+                Err(_) => return (Vec::new(), None),
             }
         }
         match rx.recv_timeout(IDLE_TICK) {
             Ok(job) => break job,
             Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return Vec::new(),
+            Err(RecvTimeoutError::Disconnected) => return (Vec::new(), None),
         }
     };
     let mut batch = vec![first];
@@ -568,13 +572,11 @@ fn collect_batch(
             }
         }
     }
-    if traced {
-        // Span attribution per job: queue wait is enqueue → the worker's
-        // first recv (zero for jobs that arrived *during* the window), batch
-        // window is the remainder until the batch sealed.
-        // timing: seal stamp feeding the QueueWait/BatchWindow spans; only
-        // reached when `traced`, so it is already observation-gated.
-        let t_sealed = Instant::now();
+    // Span attribution per job: queue wait is enqueue → the worker's first
+    // recv (zero for jobs that arrived *during* the window), batch window is
+    // the remainder until the batch sealed.
+    let sealed = traced.then(Instant::now);
+    if let Some(t_sealed) = sealed {
         for job in &mut batch {
             let picked_up = if job.enqueued > t_first {
                 job.enqueued
@@ -591,11 +593,12 @@ fn collect_batch(
             );
         }
     }
-    batch
+    (batch, sealed)
 }
 
 fn process_batch(
     batch: Vec<Job>,
+    sealed: Option<Instant>,
     reader: &mut RegistryReader,
     cache: &EstimateCache,
     stats: &ServiceStats,
@@ -613,7 +616,7 @@ fn process_batch(
     }
     for (name, jobs) in groups {
         match reader.get(&name) {
-            Some(model) => serve_group(&model, jobs, cache, stats, obs, cfg),
+            Some(model) => serve_group(&model, jobs, sealed, cache, stats, obs, cfg),
             None => {
                 for job in jobs {
                     stats.record_error();
@@ -630,15 +633,20 @@ struct Pending {
     fp: u64,
     tau: usize,
     prepared: PreparedQuery,
-    /// When this job's own prepare/probe work finished (traced runs only);
-    /// the wait from here to the kernel launch is sibling/dedup time and is
-    /// attributed to `Stage::BatchWindow` so traces stay gap-free.
+    /// When this job's cache probe ended (traced runs only); the wait from
+    /// here to the kernel launch is sibling/dedup time and is attributed to
+    /// `Stage::BatchWindow` so traces stay gap-free.
     ready: Option<Instant>,
 }
 
+/// Serves one model's share of a batch. `sealed` is the batch's seal stamp
+/// (traced runs only); every span below starts at the stamp that ended the
+/// one before it, so a job's spans sum to its end-to-end time up to the
+/// response itself.
 fn serve_group(
     model: &ServeModel,
     jobs: Vec<Job>,
+    sealed: Option<Instant>,
     cache: &EstimateCache,
     stats: &ServiceStats,
     obs: &Observer,
@@ -649,18 +657,17 @@ fn serve_group(
     let traced = obs.enabled();
     let mut pending: Vec<Pending> = Vec::with_capacity(jobs.len());
 
-    // ≈ the batch seal time (process_batch's grouping in between is ns
-    // scale). The group loop below is serialized, so a job late in a large
-    // batch spends real wall clock waiting on its siblings' prepare/probe
-    // work; that wait is attributed to BatchWindow — "waiting on the batch"
-    // — so per-stage sums keep covering end-to-end latency as batches grow.
-    let t_group = traced.then(Instant::now);
+    // From the seal to a job's own prepare, the job waits on the batch: the
+    // queue unlock, grouping, the registry read and, late in a large batch,
+    // its siblings' prepare/probe work. That wait is attributed to
+    // BatchWindow, so per-stage sums keep covering end-to-end latency as
+    // batches grow.
     for mut job in jobs {
         // `prepare_shared` runs `h_rec` once and keeps the request's
         // `Arc<Record>` without copying the payload; the estimate depends on
         // θ only through τ = threshold_step(θ), so τ is the cache's θ-bucket.
         let t_prep = traced.then(Instant::now);
-        if let (Some(t0), Some(t1)) = (t_group, t_prep) {
+        if let (Some(t0), Some(t1)) = (sealed, t_prep) {
             // For jobs answered inside this loop (cache hits, sheds) this is
             // their whole sibling wait; pending jobs get the rest at the
             // kernel call below.
@@ -670,8 +677,12 @@ fn serve_group(
         let prepared = estimator.prepare_shared(&job.req.query);
         let fp = fingerprint(prepared.bits().expect("CardNet prepare extracts"));
         let tau = estimator.threshold_step(job.req.theta);
-        if let Some(t) = t_prep {
-            job.trace.add(Stage::Prepare, t.elapsed());
+        // One stamp ends Prepare and starts CacheProbe, and the next ends
+        // CacheProbe and starts the pending wait.
+        let t_prepared = traced.then(Instant::now);
+        if let (Some(t0), Some(t1)) = (t_prep, t_prepared) {
+            job.trace
+                .add(Stage::Prepare, t1.saturating_duration_since(t0));
         }
         // A job queued past its deadline is load-shed: a cache answer is
         // still free (exact hits below cost nothing), but it will not be
@@ -682,10 +693,11 @@ fn serve_group(
             Some(deadline) => Instant::now() > deadline,
             None => false,
         };
-        let t_probe = traced.then(Instant::now);
         let lookup = cache.lookup(epoch, fp, tau);
-        if let Some(t) = t_probe {
-            job.trace.add(Stage::CacheProbe, t.elapsed());
+        let t_probed = traced.then(Instant::now);
+        if let (Some(t0), Some(t1)) = (t_prepared, t_probed) {
+            job.trace
+                .add(Stage::CacheProbe, t1.saturating_duration_since(t0));
         }
         match lookup {
             CacheLookup::Exact(value) => {
@@ -730,7 +742,7 @@ fn serve_group(
                     );
                 } else {
                     pending.push(Pending {
-                        ready: traced.then(Instant::now),
+                        ready: t_probed,
                         job,
                         fp,
                         tau,
@@ -747,7 +759,7 @@ fn serve_group(
                 let _ = job.resp.send(Err(ServeError::DeadlineExceeded));
             }
             _ => pending.push(Pending {
-                ready: traced.then(Instant::now),
+                ready: t_probed,
                 job,
                 fp,
                 tau,
@@ -833,18 +845,21 @@ fn serve_group(
             .map(|e| RowResult::Scalar(e.value))
             .collect()
     };
-    let (model_ns, enc_ns, dec_ns) = match (t_model, &meter_before) {
-        (Some(t), Some(before)) => {
+    // The model's end stamp also starts each job's wait for distribution.
+    let t_distribute = traced.then(Instant::now);
+    let (model_ns, enc_ns, dec_ns) = match (t_model, t_distribute, &meter_before) {
+        (Some(t0), Some(t1), Some(before)) => {
             let delta = cardest_core::metrics::ApiCounters::snapshot().delta_since(before);
             (
-                t.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+                t1.saturating_duration_since(t0)
+                    .as_nanos()
+                    .min(u64::MAX as u128) as u64,
                 delta.encoder_ns,
                 delta.decoder_ns,
             )
         }
         _ => (0, 0, 0),
     };
-    let t_distribute = traced.then(Instant::now);
     stats.record_batch(batch_size);
     for ((i, mut p), row) in pending.into_iter().enumerate().zip(row_of) {
         let estimate = match &rows[row] {
@@ -1013,24 +1028,80 @@ mod tests {
 
     #[test]
     fn loose_bracket_computes_tight_bracket_short_circuits() {
+        const TOLERANCE: f64 = 0.10;
         let (ds, est) = tiny_setup(23);
         let fx_tau_max = est.extractor().tau_max();
         let theta_of = {
             let theta_max = ds.theta_max;
             move |tau: usize| theta_max * (tau as f64 + 0.5) / (fx_tau_max as f64)
         };
+        let q = Arc::new(ds.records[5].clone());
+        // Direct-path values, before the estimator moves into the registry.
+        let direct: Vec<f64> = (0..fx_tau_max)
+            .map(|tau| est.estimate(&q, theta_of(tau)))
+            .collect();
+        let loose =
+            |lo: usize, hi: usize| direct[hi] - direct[lo] > TOLERANCE * direct[hi].max(1.0);
+        assert!(
+            loose(4, 6) && !loose(1, 3) && direct[1] < direct[3],
+            "this query's curve no longer has the brackets the test needs: {direct:?}"
+        );
         let registry = Arc::new(ModelRegistry::new());
         registry.publish("m", est);
-        let cfg = ServeConfig {
-            bound_tolerance: f64::INFINITY, // any bracket answers
-            ..ServeConfig::default()
+        let ask = |service: &Service, tau: usize| {
+            service
+                .estimate("m", Arc::clone(&q), theta_of(tau))
+                .expect("served")
         };
-        let service = Service::start(registry, cfg);
-        let q = Arc::new(ds.records[7].clone());
-        let lo = service.estimate("m", Arc::clone(&q), theta_of(1)).unwrap();
-        let hi = service.estimate("m", Arc::clone(&q), theta_of(6)).unwrap();
-        assert!(lo.estimate <= hi.estimate, "monotonicity");
-        let mid = service.estimate("m", Arc::clone(&q), theta_of(3)).unwrap();
+
+        let service = Service::start(
+            Arc::clone(&registry),
+            ServeConfig {
+                bound_tolerance: TOLERANCE,
+                ..ServeConfig::default()
+            },
+        );
+        for tau in [1, 3, 4, 6] {
+            assert_eq!(ask(&service, tau).estimate.to_bits(), direct[tau].to_bits());
+        }
+        // [ĉ(4), ĉ(6)] is wider than the tolerance: the model computes τ=5.
+        let wide = ask(&service, 5);
+        assert!(
+            matches!(wide.source, EstimateSource::Computed { .. }),
+            "a loose bracket must not answer, got {:?}",
+            wide.source
+        );
+        assert_eq!(wide.estimate.to_bits(), direct[5].to_bits());
+        // [ĉ(1), ĉ(3)] is inside it: τ=2 answers from the bracket, within the
+        // tolerance of the direct estimate.
+        let tight = ask(&service, 2);
+        match tight.source {
+            EstimateSource::CacheBounds { lo, hi } => {
+                assert_eq!(lo.to_bits(), direct[1].to_bits());
+                assert_eq!(hi.to_bits(), direct[3].to_bits());
+            }
+            other => panic!("expected a bounds answer, got {other:?}"),
+        }
+        assert!(
+            (tight.estimate - direct[2]).abs() <= TOLERANCE * direct[2].max(1.0),
+            "bracket answer {} strays from the direct estimate {}",
+            tight.estimate,
+            direct[2]
+        );
+        assert_eq!(service.stats().bound_hits, 1);
+        service.shutdown();
+
+        // At infinite tolerance any bracket answers, even the wide one.
+        let service = Service::start(
+            registry,
+            ServeConfig {
+                bound_tolerance: f64::INFINITY,
+                ..ServeConfig::default()
+            },
+        );
+        let lo = ask(&service, 1);
+        let hi = ask(&service, 6);
+        let mid = ask(&service, 3);
         match mid.source {
             EstimateSource::CacheBounds { lo: l, hi: h } => {
                 assert_eq!(l.to_bits(), lo.estimate.to_bits());
@@ -1039,7 +1110,7 @@ mod tests {
             }
             other => panic!("expected a bounds answer, got {other:?}"),
         }
-        assert!(service.stats().bound_hits >= 1);
+        assert_eq!(service.stats().bound_hits, 1);
         service.shutdown();
     }
 

@@ -10,9 +10,9 @@ use cardest_data::synth::{hm_imagenet, SynthConfig};
 use cardest_data::zipf::Zipf;
 use cardest_data::{Dataset, Record, Workload};
 use cardest_fx::build_extractor;
-use cardest_serve::{ModelRegistry, Request, ServeConfig, Service};
+use cardest_serve::{ModelRegistry, Request, ServeConfig, Service, StatsSnapshot};
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -46,20 +46,28 @@ fn request_stream(ds: &Dataset, n: usize, seed: u64) -> Vec<(usize, Arc<Record>,
         .collect()
 }
 
-/// Plays the stream fully pipelined through a fresh service and returns the
-/// served estimates (stream order) with their model-epoch tags.
+/// Requests `play` keeps outstanding: fewer than `batch_max`, so a batch is
+/// sealed by its window or by an empty queue, not by its size, and what it
+/// holds changes with the window.
+const IN_FLIGHT: usize = 16;
+
+/// Plays the stream through a fresh service, pipelined [`IN_FLIGHT`] deep,
+/// and returns the served estimates (stream order) and the service's final
+/// counters.
 fn play(
     registry: &Arc<ModelRegistry>,
     stream: &[(usize, Arc<Record>, f64)],
     workers: usize,
-) -> Vec<(f64, u64)> {
+    batch_window: Duration,
+    cache_capacity: usize,
+) -> (Vec<f64>, StatsSnapshot) {
     let service = Service::start(
         Arc::clone(registry),
         ServeConfig {
             workers,
             batch_max: 32,
-            batch_window: Duration::from_micros(300),
-            cache_capacity: 1024,
+            batch_window,
+            cache_capacity,
             bound_tolerance: 0.0,
             cache_curve_points: 0,
             kernel_threads: 1,
@@ -67,25 +75,28 @@ fn play(
             ..ServeConfig::default()
         },
     );
-    let receivers: Vec<_> = stream
-        .iter()
-        .map(|(_, rec, theta)| {
-            service.submit(Request {
+    let mut unsent = stream.iter();
+    let mut outstanding = VecDeque::with_capacity(IN_FLIGHT);
+    let mut out = Vec::with_capacity(stream.len());
+    loop {
+        while outstanding.len() < IN_FLIGHT {
+            let Some((_, rec, theta)) = unsent.next() else {
+                break;
+            };
+            outstanding.push_back(service.submit(Request {
                 model: "m".into(),
                 query: Arc::clone(rec),
                 theta: *theta,
-            })
-        })
-        .collect();
-    let out = receivers
-        .into_iter()
-        .map(|rx| {
-            let resp = rx.recv().expect("service alive").expect("served");
-            (resp.estimate, resp.epoch)
-        })
-        .collect();
+            }));
+        }
+        let Some(rx) = outstanding.pop_front() else {
+            break;
+        };
+        out.push(rx.recv().expect("service alive").expect("served").estimate);
+    }
+    let snap = service.stats();
     service.shutdown();
-    out
+    (out, snap)
 }
 
 #[test]
@@ -101,20 +112,33 @@ fn one_worker_and_many_workers_serve_identical_estimates() {
 
     let registry = Arc::new(ModelRegistry::new());
     registry.publish("m", est);
-    let solo = play(&registry, &stream, 1);
-    let pooled = play(&registry, &stream, 4);
-
-    for (i, ((s, p), want)) in solo.iter().zip(&pooled).zip(&reference).enumerate() {
-        assert_eq!(
-            s.0.to_bits(),
-            want.to_bits(),
-            "1-worker diverged from the direct path at request {i}"
-        );
-        assert_eq!(
-            p.0.to_bits(),
-            want.to_bits(),
-            "4-worker diverged from the direct path at request {i}"
-        );
+    // Batching, concurrency and caching change when the model runs, never
+    // the bits: every worker count × batch window, with the cache off (every
+    // answer computed) and on (Zipf repeats answer from the cache).
+    let windows = [
+        Duration::ZERO,
+        Duration::from_micros(300),
+        Duration::from_millis(2),
+    ];
+    for workers in [1, 4] {
+        for window in windows {
+            for cache_capacity in [0, 1024] {
+                let (served, snap) = play(&registry, &stream, workers, window, cache_capacity);
+                let run = format!("{workers} workers, window {window:?}, cache {cache_capacity}");
+                for (i, (got, want)) in served.iter().zip(&reference).enumerate() {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{run}: diverged from the direct path at request {i}"
+                    );
+                }
+                if cache_capacity > 0 {
+                    assert!(snap.exact_hits > 0, "{run}: repeats never hit the cache");
+                } else {
+                    assert_eq!(snap.exact_hits + snap.bound_hits, 0, "{run}: cache is off");
+                }
+            }
+        }
     }
 }
 

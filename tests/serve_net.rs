@@ -20,8 +20,19 @@ use cardest_serve::{
 };
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::net::TcpStream;
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
+
+/// The tracing comparison times p99 latencies, so it runs alone: it takes
+/// this lock for writing, and every other test in this binary holds a read
+/// guard for its whole run.
+static TIMING: RwLock<()> = RwLock::new(());
+
+fn share_cores() -> RwLockReadGuard<'static, ()> {
+    TIMING.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn small_model(ds: &Dataset, epochs: usize) -> CardNetEstimator {
     let fx = build_extractor(ds, 10, 1);
@@ -88,6 +99,7 @@ fn wait_until(limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn socket_round_trips_are_bit_identical_to_in_process_estimation() {
+    let _cores = share_cores();
     let ds = hm_imagenet(SynthConfig::new(300, 191));
     let est = small_model(&ds, 3);
     let queries: Vec<(usize, f64)> = (0..60)
@@ -153,6 +165,7 @@ fn socket_round_trips_are_bit_identical_to_in_process_estimation() {
 
 #[test]
 fn concurrent_socket_clients_are_deterministic() {
+    let _cores = share_cores();
     let ds = hm_imagenet(SynthConfig::new(300, 192));
     let est = small_model(&ds, 3);
     // Zipf-skewed per-client streams: repeats exercise the cache, distinct
@@ -213,6 +226,7 @@ fn concurrent_socket_clients_are_deterministic() {
 
 #[test]
 fn hot_swap_under_load_keeps_every_answer_epoch_consistent() {
+    let _cores = share_cores();
     let ds = hm_imagenet(SynthConfig::new(300, 193));
     let model_a = small_model(&ds, 2);
     let model_b = small_model(&ds, 6); // different weights on purpose
@@ -299,10 +313,12 @@ fn hot_swap_under_load_keeps_every_answer_epoch_consistent() {
 
 /// Saturates a 1-worker server whose queue admits only 4 requests: the
 /// overflow must be answered **degraded** from the exact monotone cache
-/// bracket (or refused when nothing is cached), and every shed the clients
-/// observed must reconcile with the server's counters.
+/// bracket (or refused when nothing is cached), every shed the clients
+/// observed must reconcile with the server's counters, and once the overload
+/// drains the same query must be served at full fidelity again.
 #[test]
 fn load_shedding_answers_from_brackets_and_counters_reconcile() {
+    let _cores = share_cores();
     let ds = hm_imagenet(SynthConfig::new(200, 194));
     let est = small_model(&ds, 2);
     let tau_max = est.extractor().tau_max();
@@ -313,6 +329,7 @@ fn load_shedding_answers_from_brackets_and_counters_reconcile() {
     // brackets must carry exactly these bits.
     let expected_lo = est.estimate(&ds.records[hot_idx], theta_of(1));
     let expected_hi = est.estimate(&ds.records[hot_idx], theta_of(7));
+    let expected_mid = est.estimate(&ds.records[hot_idx], theta_of(4));
     let stalled_queries: Vec<(usize, f64)> = (0..4).map(|i| (40 + i, theta_of(3))).collect();
     let stalled_reference: Vec<f64> = stalled_queries
         .iter()
@@ -418,12 +435,22 @@ fn load_shedding_answers_from_brackets_and_counters_reconcile() {
         );
     }
 
+    // Once the overload drains, the query that was shed is served at full
+    // fidelity again: shedding is a mode, not a latch.
+    let after = expect_response(
+        shed.call(index_request(40, 0, hot_idx, theta_of(4)))
+            .expect("post-drain answer"),
+    );
+    assert!(!after.degraded, "shedding outlived the overload");
+    assert_ne!(after.source, WireSource::ShedBracket);
+    assert_eq!(after.estimate.to_bits(), expected_mid.to_bits());
+
     // Counters reconcile with what the clients observed.
     let snap = server.service().stats();
     assert_eq!(snap.shed_bracket, 6, "six degraded answers were observed");
     assert_eq!(snap.shed_rejected, 1, "one hard reject was observed");
     assert_eq!(snap.quota_rejected, 0);
-    assert_eq!(snap.requests, 2 + 4 + 7);
+    assert_eq!(snap.requests, 2 + 4 + 7 + 1);
     let client42 = snap
         .clients
         .iter()
@@ -444,6 +471,7 @@ fn load_shedding_answers_from_brackets_and_counters_reconcile() {
 /// traffic.
 #[test]
 fn stats_frame_counters_reconcile_exactly_with_client_observations() {
+    let _cores = share_cores();
     let ds = hm_imagenet(SynthConfig::new(200, 196));
     let est = small_model(&ds, 2);
     let tau_max = est.extractor().tau_max();
@@ -636,6 +664,7 @@ fn stats_frame_counters_reconcile_exactly_with_client_observations() {
 /// quota rejects, tracked per client id.
 #[test]
 fn per_client_quota_rejects_excess_outstanding_requests() {
+    let _cores = share_cores();
     let ds = hm_imagenet(SynthConfig::new(200, 195));
     let est = small_model(&ds, 2);
     let reference: Vec<f64> = (0..2).map(|i| est.estimate(&ds.records[i], 4.0)).collect();
@@ -695,4 +724,207 @@ fn per_client_quota_rejects_excess_outstanding_requests() {
     assert_eq!(client7.quota_rejected, 2);
     assert_eq!(client7.outstanding, 0);
     server.shutdown();
+}
+
+/// One leg of the tracing comparison: a service with tracing on or off
+/// behind its own socket ingress, and the latencies its client observed.
+struct Leg {
+    server: NetServer,
+    client: NetClient,
+    latencies_us: Vec<u64>,
+    /// The tracer's capture count when the measured window opened.
+    captured_before: u64,
+}
+
+impl Leg {
+    /// Starts the leg's server and warms it with a closed-loop, fully
+    /// pipelined pass over `warm`, so that both legs start from the same
+    /// cache and an awake pool. Returns the leg and the requests per second
+    /// the warm-up pass sustained.
+    fn start(
+        registry: &Arc<ModelRegistry>,
+        records: &[Arc<Record>],
+        tracing: bool,
+        warm: &[(usize, f64)],
+    ) -> (Leg, f64) {
+        let service = Service::start(
+            Arc::clone(registry),
+            ServeConfig {
+                workers: 2,
+                batch_max: 64,
+                batch_window: Duration::from_micros(500),
+                cache_capacity: 4096,
+                bound_tolerance: 0.0,
+                cache_curve_points: 0,
+                kernel_threads: 1,
+                kernel_backend: None,
+                tracing, // default sampling: every 16th trace is captured
+                ..ServeConfig::default()
+            },
+        );
+        let server = NetServer::bind(
+            "127.0.0.1:0",
+            service,
+            records.to_vec(),
+            NetConfig {
+                queue_limit: 4096,
+                ..NetConfig::default()
+            },
+        )
+        .expect("bind loopback");
+        let mut client = NetClient::connect(server.addr()).expect("connect");
+        let t0 = Instant::now();
+        for (i, &(idx, theta)) in warm.iter().enumerate() {
+            client
+                .send(&Frame::Request(index_request(i as u64, 1, idx, theta)))
+                .expect("send");
+        }
+        for _ in warm {
+            expect_response(client.recv().expect("answered"));
+        }
+        let capacity = warm.len() as f64 / t0.elapsed().as_secs_f64();
+        let captured_before = server.service().observer().captured();
+        let leg = Leg {
+            server,
+            client,
+            latencies_us: Vec::new(),
+            captured_before,
+        };
+        (leg, capacity)
+    }
+
+    /// Receives the responses to requests `0..n`, in order, timing each
+    /// from the stamp its sender took.
+    fn receive(&mut self, n: u64, stamps: Receiver<Instant>) {
+        for id in 0..n {
+            let resp = expect_response(self.client.recv().expect("answered"));
+            let sent = stamps.recv().expect("every request is stamped");
+            assert_eq!(resp.request_id, id, "responses arrive in order");
+            assert!(!resp.degraded, "no shedding at this load");
+            self.latencies_us.push(sent.elapsed().as_micros() as u64);
+        }
+    }
+
+    /// Shuts the server down and returns the leg's client-observed p99 and
+    /// the share of the measured window's captured trace time that top-level
+    /// stage spans attribute (0 when nothing was captured).
+    fn finish(mut self) -> (u64, f64) {
+        let obs = Arc::clone(self.server.service().observer());
+        let traces = obs.recent_traces((obs.captured() - self.captured_before) as usize);
+        let attributed: u64 = traces.iter().map(|t| t.attributed_ns()).sum();
+        let total: u64 = traces.iter().map(|t| t.total_ns).sum();
+        self.server.shutdown();
+        self.latencies_us.sort_unstable();
+        let rank = ((self.latencies_us.len() - 1) as f64 * 0.99).round() as usize;
+        let coverage = if total == 0 {
+            0.0
+        } else {
+            attributed as f64 / total as f64
+        };
+        (self.latencies_us[rank], coverage)
+    }
+}
+
+/// Offers `requests` open-loop to both legs at `rate` per second each,
+/// with Poisson arrivals. Every arrival goes to both servers back to back,
+/// the first of them alternating, so load from outside the test falls on
+/// both legs alike. The sender follows its own schedule, never the replies, so a slow
+/// server grows its queue instead of slowing the load.
+fn offer_to_both(mut legs: [&mut Leg; 2], requests: &[(usize, f64)], rate: f64) {
+    let n = requests.len() as u64;
+    let mut writers: Vec<TcpStream> = legs
+        .iter_mut()
+        .map(|leg| leg.client.stream().try_clone().expect("clone socket"))
+        .collect();
+    std::thread::scope(|scope| {
+        let mut stamps = Vec::new();
+        for leg in legs {
+            // capacity: unbounded, one send stamp per request; the receiver
+            // pops one per response, so depth is at most the requests in
+            // flight on this leg.
+            let (tx, rx) = channel::<Instant>();
+            stamps.push(tx);
+            scope.spawn(move || leg.receive(n, rx));
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xA551);
+        let mut due = Instant::now();
+        for (id, &(idx, theta)) in (0..).zip(requests) {
+            due += Duration::from_secs_f64(-(1.0 - rng.gen::<f64>()).ln() / rate);
+            if let Some(wait) = due.checked_duration_since(Instant::now()) {
+                std::thread::sleep(wait);
+            }
+            let frame = Frame::Request(index_request(id, 1, idx, theta));
+            for leg in [id % 2, 1 - id % 2] {
+                let leg = leg as usize;
+                let sent = Instant::now();
+                frame.write_to(&mut writers[leg]).expect("send");
+                stamps[leg].send(sent).expect("receiver alive");
+            }
+        }
+    });
+}
+
+/// Tracing is on by default, so it must be cheap and it must explain where
+/// a request's time went. Over the socket ingress, so that the decode and
+/// admission spans are measured too, one open-loop stream is offered to a
+/// tracing-off and a tracing-on server at once. The traced p99 may exceed
+/// the untraced one by at most 5% plus 1 ms of scheduler slack, both legs
+/// meet a 200 ms p99 SLO, and the traced leg's captured traces attribute at
+/// least 90% of their end-to-end time to top-level stages.
+#[test]
+fn tracing_overhead_and_stage_coverage_hold_over_the_socket() {
+    const SLO_US: u64 = 200_000;
+    let _alone = TIMING.write().unwrap_or_else(PoisonError::into_inner);
+    let ds = hm_imagenet(SynthConfig::new(300, 197));
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish("default", small_model(&ds, 2));
+    let records = shared_records(&ds);
+    // Zipf keys over a θ grid: hot repeats hit the cache, the rest batch.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x50C7);
+    let hot = Zipf::new(200.min(ds.len()), 1.2);
+    // 3,800 measured requests, so that one host stall does not set the p99,
+    // and at one trace in 16 the window's traces still fit the tracer's
+    // 256-trace ring.
+    let stream: Vec<(usize, f64)> = (0..4000)
+        .map(|_| {
+            let theta = ds.theta_max * f64::from(rng.gen_range(1..=32)) / 32.0;
+            (hot.sample(&mut rng), theta)
+        })
+        .collect();
+    let (warm, measured) = stream.split_at(200);
+
+    // Each attempt is a fresh pair of servers. Only an overhead miss is
+    // rerun, up to three pairs: one host stall can spoil a pair's p99s, a
+    // real per-request cost spoils all three. The SLO and the coverage are
+    // checked once, on the pair that is kept.
+    let cheap = |off_p99: u64, on_p99: u64| on_p99 as f64 <= off_p99 as f64 * 1.05 + 1_000.0;
+    let mut attempt = 1;
+    let (off_p99, on_p99, coverage) = loop {
+        let (mut off, capacity) = Leg::start(&registry, &records, false, warm);
+        let (mut on, _) = Leg::start(&registry, &records, true, warm);
+        // The legs share the host, so each is offered 15% of what the
+        // untraced warm-up sustained alone: together they stay well short of
+        // saturation, where a small cost would turn into a long queue.
+        let rate = (0.15 * capacity).clamp(200.0, 20_000.0);
+        offer_to_both([&mut off, &mut on], measured, rate);
+        let (off_p99, _) = off.finish();
+        let (on_p99, coverage) = on.finish();
+        if cheap(off_p99, on_p99) || attempt == 3 {
+            break (off_p99, on_p99, coverage);
+        }
+        attempt += 1;
+    };
+    assert!(
+        cheap(off_p99, on_p99),
+        "tracing costs too much: p99 {off_p99} us untraced vs {on_p99} us traced, in 3 pairs"
+    );
+    assert!(
+        off_p99.max(on_p99) <= SLO_US,
+        "p99 over the {SLO_US} us SLO: {off_p99} us untraced, {on_p99} us traced"
+    );
+    assert!(
+        coverage >= 0.90,
+        "stage spans attribute only {:.1}% of the traced time",
+        coverage * 100.0
+    );
 }
