@@ -74,16 +74,16 @@ const USAGE: &str = "usage:
   cardest_cli gen      --kind <hm|ed|jc|eu> --n <records> [--seed <u64>] --out <file>
   cardest_cli train    --data <file> --model <file> [--accelerated] [--epochs <n>] [--tau-max <n>]
                        [--threads <n kernel workers; 0 = all cores>]
-                       [--kernel-backend <scalar|blocked|simd|auto>]
+                       [--kernel-backend <blocked|simd|auto>]
   cardest_cli estimate --data <file> --model <file> --query <record-index> --theta <f64> [--curve]
                        [--threads <n kernel workers; 0 = all cores>]
-                       [--kernel-backend <scalar|blocked|simd|auto>]
+                       [--kernel-backend <blocked|simd|auto>]
   cardest_cli estimate --data <file> --model <file> --queries <file with `<index> <theta>` lines>
   cardest_cli serve    --data <file> --model <file> [--workers <n>] [--batch-max <n>]
                        [--batch-window-us <n>] [--cache <entries>] [--bound-tolerance <f64>]
                        [--cache-curve-points <n>] [--pipeline <n outstanding>]
                        [--kernel-threads <n per micro-batch>]
-                       [--kernel-backend <scalar|blocked|simd|auto>]
+                       [--kernel-backend <blocked|simd|auto>]
                        [--listen [ADDR]] [--max-conns <n; 0 = unlimited>]
                        [--queue-limit <in-flight requests; 0 = unbounded>]
                        [--deadline-ms <per-request default; 0 = none>]
@@ -98,9 +98,9 @@ const USAGE: &str = "usage:
                        [--index-range <loadgen query indices, default 1>]
                        [--theta <loadgen threshold, default 4>]
 
-Thread counts and kernel backends only change wall clock: every kernel tier
-(scalar, blocked, explicit SIMD) is bit-identical, so estimates and trained
-weights never depend on them. Without --kernel-backend the process default
+Thread counts and kernel backends only change wall clock: both kernel tiers
+(blocked, explicit SIMD) are bit-identical, so estimates and trained weights
+never depend on them. Without --kernel-backend the process default
 applies: the CARDEST_KERNEL_BACKEND env var if set, else the best the CPU
 supports (AVX-512 → AVX2 → blocked).";
 
@@ -237,7 +237,7 @@ fn kernel_backend_flag(flags: &Flags) -> Result<Option<KernelBackend>, String> {
     match flags.get("kernel-backend") {
         None => Ok(None),
         Some(v) => KernelBackend::parse(v).map(Some).ok_or_else(|| {
-            format!("--kernel-backend: `{v}` not recognized (want scalar|blocked|simd|auto)")
+            format!("--kernel-backend: `{v}` not recognized (want blocked|simd|auto)")
         }),
     }
 }

@@ -11,50 +11,15 @@ use std::time::Instant;
 /// feature extraction and encoding happen once per query, not once per grid
 /// cell — with values bit-identical to per-cell `estimate` calls.
 pub fn evaluate(est: &dyn CardinalityEstimator, test: &Workload) -> Accuracy {
-    evaluate_par(est, test, 1)
-}
-
-/// [`evaluate`] with the per-query work fanned out across up to `threads`
-/// scoped workers. Queries are independent (`prepare` + a threshold sweep
-/// each), and per-chunk results are spliced back in workload order, so the
-/// `Accuracy` is computed over the identical value sequence — bit-identical
-/// to the serial path for any thread count.
-pub fn evaluate_par(est: &dyn CardinalityEstimator, test: &Workload, threads: usize) -> Accuracy {
-    let n_queries = test.queries.len();
-    let threads = threads.max(1).min(n_queries.max(1));
-    let cells = |queries: &[cardest_data::workload::LabelledQuery]| {
-        let mut actual = Vec::with_capacity(queries.len() * test.thresholds.len());
-        let mut predicted = Vec::with_capacity(queries.len() * test.thresholds.len());
-        for lq in queries {
-            let prepared = est.prepare(&lq.query);
-            for (&theta, &c) in test.thresholds.iter().zip(&lq.cards) {
-                actual.push(f64::from(c));
-                predicted.push(est.estimate_prepared(&prepared, theta).max(0.0));
-            }
+    let cells = test.queries.len() * test.thresholds.len();
+    let mut actual = Vec::with_capacity(cells);
+    let mut predicted = Vec::with_capacity(cells);
+    for lq in &test.queries {
+        let prepared = est.prepare(&lq.query);
+        for (&theta, &c) in test.thresholds.iter().zip(&lq.cards) {
+            actual.push(f64::from(c));
+            predicted.push(est.estimate_prepared(&prepared, theta).max(0.0));
         }
-        (actual, predicted)
-    };
-    if threads <= 1 {
-        let (actual, predicted) = cells(&test.queries);
-        return Accuracy::compute(&actual, &predicted);
-    }
-    let chunk = n_queries.div_ceil(threads);
-    let parts: Vec<(Vec<f64>, Vec<f64>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = test
-            .queries
-            .chunks(chunk)
-            .map(|queries| s.spawn(|| cells(queries)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("evaluation worker panicked"))
-            .collect()
-    });
-    let mut actual = Vec::with_capacity(n_queries * test.thresholds.len());
-    let mut predicted = Vec::with_capacity(n_queries * test.thresholds.len());
-    for (a, p) in parts {
-        actual.extend(a);
-        predicted.extend(p);
     }
     Accuracy::compute(&actual, &predicted)
 }

@@ -988,7 +988,6 @@ mod tests {
             assert_eq!(a.value.to_bits(), b.value.to_bits());
         }
         for backend in [
-            cardest_nn::KernelBackend::Scalar,
             cardest_nn::KernelBackend::Blocked,
             cardest_nn::KernelBackend::Simd,
         ] {

@@ -396,6 +396,7 @@ mod tests {
     use crate::model::EncoderKind;
     use cardest_data::synth::{hm_imagenet, SynthConfig};
     use cardest_fx::build_extractor;
+    use cardest_nn::KernelBackend;
 
     fn small_setup() -> (Box<dyn FeatureExtractor>, Workload, Workload) {
         let ds = hm_imagenet(SynthConfig::new(300, 42));
@@ -456,6 +457,52 @@ mod tests {
             let est = trainer.model.infer_sum(&trainer.store, &x, tau);
             assert!(est >= prev - 1e-9);
             prev = est;
+        }
+    }
+
+    /// Serial and threaded training give the same weights, bit for bit:
+    /// two CardNet steps (forward, backward, Adam) on tapes pinned to each
+    /// backend × 1, 2 and 3 forced workers. `exact_threads`, because under
+    /// the `Parallelism::threads` hint a 64-row minibatch stays below the
+    /// per-thread work floor and never splits.
+    #[test]
+    fn training_steps_are_bit_identical_across_backends_and_threads() {
+        let (fx, train_wl, _) = small_setup();
+        let data = prepare_tensors(&train_wl, fx.as_ref());
+        let batch = data.batch(&(0..64).collect::<Vec<_>>());
+        let cfg = CardNetConfig::new(fx.dim(), fx.tau_max() + 1);
+        let p_tau = Matrix::full(1, cfg.n_out, 1.0 / cfg.n_out as f32);
+        let train = |par: Parallelism| {
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut store = ParamStore::new();
+            let model = CardNetModel::new(&mut store, &mut rng, cfg.clone());
+            let mut opt = Adam::new(1e-3);
+            for _ in 0..2 {
+                let mut tape = Tape::with_parallelism(par);
+                let fwd = model.forward_train(&mut tape, &store, batch.x.clone(), &mut rng, 0.1);
+                let (cum, p) = (tape.input(batch.cum.clone()), tape.input(p_tau.clone()));
+                let main = loss::weighted_msle(&mut tape, fwd.cum, cum, p);
+                let vae = tape.scale(fwd.vae_loss.expect("VAE enabled"), 0.1);
+                let total = tape.add(main, vae);
+                tape.backward(total, &mut store);
+                opt.step(&mut store);
+            }
+            store
+        };
+        let want = train(Parallelism::serial());
+        for backend in [KernelBackend::Blocked, KernelBackend::Simd] {
+            for t in [1, 2, 3] {
+                let got = train(Parallelism::exact_threads(t).with_backend(backend));
+                for id in want.ids() {
+                    let (w, g) = (want.value(id).as_slice(), got.value(id).as_slice());
+                    assert!(
+                        w.iter().zip(g).all(|(w, g)| w.to_bits() == g.to_bits()),
+                        "{} differs under {}/threads={t}",
+                        want.name(id),
+                        backend.label()
+                    );
+                }
+            }
         }
     }
 

@@ -1,10 +1,11 @@
 //! Property tests pinning the kernel-layer contract: every backend tier
-//! (scalar row kernels, blocked micro-tiles, explicit AVX2/AVX-512 SIMD)
-//! and every threading variant of `matmul` / `t_matmul` / `matmul_t`
-//! produces outputs **bit-identical** to the scalar reference kernels —
-//! across rectangular and degenerate shapes (0×n, 1×1, non-square), across
-//! backends × 1/2/4 workers, and with non-finite inputs (NaN, ±∞, ±0.0) in
-//! the mix. The one deliberate relaxation: NaN outputs match as a *class*
+//! (blocked micro-tiles, explicit AVX2/AVX-512 SIMD) and every threading
+//! variant of `matmul` / `t_matmul` / `matmul_t` produces outputs
+//! **bit-identical** to the reference loops of `Matrix::matmul` /
+//! `t_matmul` / `matmul_t` — across rectangular and degenerate shapes (0×n,
+//! 1×1, non-square), across backends × 1/2/4 workers, at CardNet's own
+//! shapes under the clamped `Parallelism::threads` hint, and with
+//! non-finite inputs (NaN, ±∞, ±0.0) in the mix. The one deliberate relaxation: NaN outputs match as a *class*
 //! (any NaN equals any NaN), because NaN sign/payload propagation is
 //! ISA-defined and differs across hosts.
 //!
@@ -15,7 +16,7 @@
 //! instead — selecting the SIMD backend must be safe everywhere.
 
 use cardest_nn::kernels::{KernelBackend, Parallelism};
-use cardest_nn::Matrix;
+use cardest_nn::{Matrix, Weights};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,11 +67,7 @@ fn assert_bits_eq(want: &Matrix, got: &Matrix, what: &str) {
 /// (forced so tiny shapes still exercise the real partitioning code paths).
 fn variants() -> Vec<(String, Parallelism)> {
     let mut v = vec![("default/serial".to_string(), Parallelism::serial())];
-    for backend in [
-        KernelBackend::Scalar,
-        KernelBackend::Blocked,
-        KernelBackend::Simd,
-    ] {
+    for backend in [KernelBackend::Blocked, KernelBackend::Simd] {
         for t in [1, 2, 4] {
             v.push((
                 format!("{}/threads={t}", backend.label()),
@@ -165,19 +162,53 @@ proptest! {
 }
 
 /// Larger-than-cache-tile shapes hit the multi-chunk threaded path with
-/// every worker owning many rows; one deterministic heavyweight case keeps
-/// the proptest suite fast while still covering the "real" regime.
+/// every worker owning many rows; deterministic heavyweight cases keep the
+/// proptest suite fast while still covering the "real" regime. CardNet's
+/// own products — a training minibatch and a batch estimate over
+/// binary-sparse features (64×176×96, 256×176×96) and a dense 256×256×192
+/// product — run under every variant and under the hint production code
+/// passes, `Parallelism::threads(2)`: the work floor keeps the sparse shapes
+/// serial and splits the dense one across both workers. `matmul` also runs
+/// split-K, the way the first Φ layer adds the distance rows onto the
+/// feature product.
 #[test]
 fn kernels_bit_identical_at_model_scale() {
-    // Typical CardNet shapes: batch 64, features ~160, hidden 96.
     check_all_kernels(64, 160, 96, 0xC0DE, false);
-    // Sparse-binary-heavy left operand, like real extracted features.
-    let a = Matrix::from_fn(64, 160, |r, c| {
-        f32::from(u8::from((r * 7 + c * 3) % 5 == 0))
-    });
-    let b = matrix_from_seed(160, 96, 7, false);
-    let want = a.matmul(&b);
-    for (label, par) in variants() {
-        assert_bits_eq(&want, &a.matmul_with(&b, par), &format!("sparse {label}"));
+    assert_eq!(Parallelism::threads(2).workers(256, 256 * 256 * 192), 2);
+    let mut pars = variants();
+    for backend in [KernelBackend::Blocked, KernelBackend::Simd] {
+        let par = Parallelism::threads(2).with_backend(backend);
+        pars.push((format!("{}/hint=2", backend.label()), par));
+    }
+    for (m, k, n, sparse) in [
+        (64, 176, 96, true),
+        (256, 176, 96, true),
+        (256, 256, 192, false),
+    ] {
+        let a = if sparse {
+            Matrix::from_fn(m, k, |r, c| f32::from(u8::from((r * 13 + c * 7) % 4 == 0)))
+        } else {
+            let mut rng = StdRng::seed_from_u64(11);
+            Matrix::from_fn(m, k, |_, _| rng.gen_range(-1.0f32..1.0))
+        };
+        let b = matrix_from_seed(k, n, 23, false);
+        let (bt, at) = (b.transpose(), a.transpose());
+        let (want_mm, want_mmt, want_tmm) = (a.matmul(&b), a.matmul_t(&bt), at.t_matmul(&b));
+        let (a1, a2) = (a.slice_cols(0, k / 2), a.slice_cols(k / 2, k));
+        let (b1, b2) = Weights::scan(&b).split_rows(k / 2);
+        for (label, par) in &pars {
+            let par = *par;
+            let mut split = Matrix::zeros(m, n);
+            a1.matmul_acc_with(b1, &mut split, par);
+            a2.matmul_acc_with(b2, &mut split, par);
+            for (product, want, got) in [
+                ("matmul", &want_mm, a.matmul_with(&b, par)),
+                ("matmul_t", &want_mmt, a.matmul_t_with(&bt, par)),
+                ("t_matmul", &want_tmm, at.t_matmul_with(&b, par)),
+                ("split-K matmul", &want_mm, split),
+            ] {
+                assert_bits_eq(want, &got, &format!("{product} {m}x{k}x{n} {label}"));
+            }
+        }
     }
 }
