@@ -13,6 +13,14 @@
 //! Φ′ whose hidden layer `f_j` also emits region `j` of *all* `τ_max + 1`
 //! embeddings through a head matrix (Figure 4), cutting estimation cost from
 //! `O((τ+1)·|Φ|)` to `O(|Φ′|)`.
+//!
+//! **Training** ([`CardNetModel::forward_train`]) records one encoder chain
+//! for all `(distance, row)` pairs of a batch, stacked distance-major, with
+//! Φ's first layer split at `x′` as in inference and one gather-style
+//! decoder op. Its backward pass sums every weight gradient block by block,
+//! last distance first — the order in which one chain per distance would
+//! deliver it — so the trained weights are those of the per-distance
+//! formulation, bit for bit.
 
 use std::time::Instant;
 
@@ -96,6 +104,18 @@ impl CardNetConfig {
     fn xprime_dim(&self) -> usize {
         self.input_dim + if self.uses_vae() { self.vae_latent } else { 0 }
     }
+
+    /// CardNet-A's per-layer region widths: `z_dim` split over the hidden
+    /// layers, earlier layers taking the remainder, so they sum to `z_dim`.
+    fn regions(&self) -> Vec<usize> {
+        let n_layers = self.phi_hidden.len().max(1);
+        let base = self.z_dim / n_layers;
+        let mut regions = vec![base; n_layers];
+        for region in regions.iter_mut().take(self.z_dim % n_layers) {
+            *region += 1;
+        }
+        regions
+    }
 }
 
 /// The regression model `g`. Parameters live in an external [`ParamStore`].
@@ -169,16 +189,9 @@ impl CardNetModel {
                 (Some(phi), None)
             }
             EncoderKind::Accelerated => {
-                let n_layers = config.phi_hidden.len().max(1);
-                // Split z_dim into per-layer regions, earlier layers get the
-                // remainder so Σ regions = z_dim.
-                let base = config.z_dim / n_layers;
-                let mut regions = vec![base; n_layers];
-                for region in regions.iter_mut().take(config.z_dim % n_layers) {
-                    *region += 1;
-                }
-                let mut hidden = Vec::with_capacity(n_layers);
-                let mut heads = Vec::with_capacity(n_layers);
+                let regions = config.regions();
+                let mut hidden = Vec::with_capacity(regions.len());
+                let mut heads = Vec::with_capacity(regions.len());
                 let mut prev = config.xprime_dim();
                 for (j, &h) in config.phi_hidden.iter().enumerate() {
                     hidden.push(Dense::new(
@@ -228,10 +241,86 @@ impl CardNetModel {
         self.vae.as_ref()
     }
 
+    /// Checks that `store` holds every parameter this model reads, each in
+    /// the shape `self.config` implies, and that every stored matrix holds
+    /// `rows · cols` values: what a deserialized model must show before any
+    /// kernel indexes into it.
+    pub fn check_params(&self, store: &ParamStore) -> Result<(), String> {
+        let c = &self.config;
+        store.check_buffers()?;
+        store.expect_shape(self.e, c.n_out, c.e_dim)?;
+        store.expect_shape(self.dec_w, c.n_out, c.z_dim)?;
+        store.expect_shape(self.dec_b, 1, c.n_out)?;
+        match (&self.vae, c.uses_vae()) {
+            (Some(vae), true) => {
+                let want = (c.input_dim, &c.vae_hidden, c.vae_latent);
+                let got = &vae.config;
+                if (got.input_dim, &got.hidden, got.latent_dim) != want {
+                    return Err("VAE configuration disagrees with the model's".to_string());
+                }
+                vae.check_shapes(store)?;
+            }
+            (None, false) => {}
+            (Some(_), false) => return Err("the configuration disables the VAE".to_string()),
+            (None, true) => return Err("the configuration asks for a VAE".to_string()),
+        }
+        match (c.encoder, &self.phi, &self.phi_a) {
+            (EncoderKind::Shared, Some(phi), None) => {
+                let dims: Vec<usize> = std::iter::once(c.xprime_dim() + c.e_dim)
+                    .chain(c.phi_hidden.iter().copied())
+                    .chain(std::iter::once(c.z_dim))
+                    .collect();
+                phi.check_shapes(store, &dims)
+                    .map_err(|e| format!("Φ: {e}"))
+            }
+            (EncoderKind::Accelerated, None, Some(pa)) => {
+                let regions = c.regions();
+                if pa.regions != regions
+                    || pa.hidden.len() != c.phi_hidden.len()
+                    || pa.heads.len() != c.phi_hidden.len()
+                {
+                    return Err("Φ′ layers or regions disagree with the configuration".to_string());
+                }
+                let mut prev = c.xprime_dim();
+                for ((layer, &head), (&h, &r)) in pa
+                    .hidden
+                    .iter()
+                    .zip(&pa.heads)
+                    .zip(c.phi_hidden.iter().zip(&regions))
+                {
+                    layer
+                        .check_shapes(store, prev, h)
+                        .map_err(|e| format!("Φ′: {e}"))?;
+                    store.expect_shape(head, h, c.n_out * r)?;
+                    prev = h;
+                }
+                Ok(())
+            }
+            _ => Err(format!("encoder layers do not match {:?}", c.encoder)),
+        }
+    }
+
     /// Training forward pass over a batch `x` (`n × d` binary as f32).
     ///
     /// `vae_beta` scales the KL term inside the VAE loss; `noise_rng` draws
     /// the reparameterization noise (training is stochastic, §5.2.1).
+    ///
+    /// The tape holds one encoder chain over all `n_out · n` (distance, row)
+    /// pairs, stacked distance-major: block `i` is every batch row at
+    /// distance `i`, so row `i·n + r` embeds row `r` at distance `i`. Each
+    /// weight is recorded once. CardNet's first layer is split at `x′` as in
+    /// inference ([`Tape::pair_linear`]): `x′ · W₁[..xp]` runs once per batch
+    /// row, and each `(i, r)` accumulator continues from that partial sum
+    /// through `e_i · W₁[xp..]`. CardNet-A stacks the regions its one Φ′ pass
+    /// emits. One [`Tape::block_dot`] then decodes every block through its
+    /// own decoder, adding the bias after the dot product.
+    ///
+    /// Backward sums every weight, bias, `E`-row and latent-column gradient
+    /// block by block, last distance first (`i = n_out − 1, …, 0`): the order
+    /// in which one chain per distance, each with its own copy of the
+    /// weights, would deliver them. So the trained weights are those of the
+    /// per-distance formulation, bit for bit. The `x` columns of `x′` are a
+    /// constant input, so no gradient is computed toward them.
     pub fn forward_train(
         &self,
         tape: &mut Tape,
@@ -240,21 +329,25 @@ impl CardNetModel {
         noise_rng: &mut impl Rng,
         vae_beta: f32,
     ) -> ModelForward {
-        let n = x.rows();
         let xv = tape.input(x);
-        let (xprime, vae_loss) = match &self.vae {
+        let (latent, vae_loss) = match &self.vae {
             Some(vae) => {
                 let fwd = vae.forward_train(tape, store, xv, noise_rng, vae_beta);
-                (tape.hconcat(&[xv, fwd.z]), Some(fwd.loss))
+                (Some(fwd.z), Some(fwd.loss))
             }
-            None => (xv, None),
+            None => (None, None),
         };
-        let dist = self.decode_all(tape, store, xprime, n);
+        let z = self.embed_train(tape, store, xv, latent);
+        // Decoder g_i = ReLU(z_i · w_i + b_i) on every block at once: n × n_out.
+        let dec_w = tape.param(store, self.dec_w);
+        let dec_b = tape.param(store, self.dec_b);
+        let raw = tape.block_dot(z, dec_w, dec_b);
+        let dist = tape.relu(raw);
         // Incremental prediction (Eq. 1): cumulative = prefix sum of the
         // per-distance outputs. The −incremental ablation (Table 7) instead
         // reads each decoder as a *direct* cumulative prediction at τ = i.
         let cum = if self.config.incremental {
-            self.prefix_sum(tape, dist, n)
+            self.prefix_sum(tape, dist)
         } else {
             dist
         };
@@ -265,70 +358,51 @@ impl CardNetModel {
         }
     }
 
-    /// Per-distance predictions for all `n_out` decoders on the tape.
-    fn decode_all(&self, tape: &mut Tape, store: &ParamStore, xprime: Var, n: usize) -> Var {
-        let e = tape.param(store, self.e);
-        let dec_w = tape.param(store, self.dec_w);
-        let dec_b = tape.param(store, self.dec_b);
+    /// The embeddings `z_i` of every batch row at every distance, stacked
+    /// distance-major (`n_out · n` rows) on the tape; `latent` is the VAE's
+    /// sampled latent, if the VAE is enabled.
+    fn embed_train(&self, tape: &mut Tape, store: &ParamStore, x: Var, latent: Option<Var>) -> Var {
         let n_out = self.config.n_out;
-
-        let z_all: Vec<Var> = match (&self.phi, &self.phi_a) {
+        match (&self.phi, &self.phi_a) {
             (Some(phi), _) => {
-                // CardNet: Φ([x' ; e_i]) per distance i (shared parameters).
-                (0..n_out)
-                    .map(|i| {
-                        let ei = tape.slice_rows(e, i, i + 1);
-                        let eb = tape.broadcast_row(ei, n);
-                        let xi = tape.hconcat(&[xprime, eb]);
-                        phi.forward(tape, store, xi)
-                    })
-                    .collect()
+                // CardNet: Φ([x′ ; e_i]) with the first layer split at x′.
+                let (first, rest) = phi.layers.split_first().expect("Φ has a layer");
+                let e = tape.param(store, self.e);
+                let w1 = tape.param(store, first.w);
+                let b1 = tape.param(store, first.b);
+                let parts: Vec<Var> = std::iter::once(x).chain(latent).collect();
+                let h = tape.pair_linear(&parts, e, w1, b1);
+                let mut h = first.activation.apply(tape, h);
+                for layer in rest {
+                    h = layer.forward_blocks(tape, store, h, n_out);
+                }
+                h
             }
             (None, Some(pa)) => {
                 // CardNet-A: one pass through the hidden chain; each layer's
-                // head emits its region of every embedding (Figure 4).
-                let mut h = xprime;
-                let mut region_blocks: Vec<Var> = Vec::with_capacity(pa.hidden.len());
-                for (layer, &head) in pa.hidden.iter().zip(&pa.heads) {
+                // head emits its region of every embedding (Figure 4), and
+                // the regions are stacked distance-major.
+                let mut h = match latent {
+                    Some(z) => tape.hconcat(&[x, z]),
+                    None => x,
+                };
+                let mut regions: Vec<Var> = Vec::with_capacity(pa.hidden.len());
+                for ((layer, &head), &width) in pa.hidden.iter().zip(&pa.heads).zip(&pa.regions) {
                     h = layer.forward(tape, store, h);
                     let head_v = tape.param(store, head);
-                    region_blocks.push(tape.matmul(h, head_v)); // n × (n_out·r_j)
+                    let block = tape.matmul(h, head_v); // n × (n_out·width)
+                    regions.push(tape.stack_col_blocks(block, width));
                 }
-                (0..n_out)
-                    .map(|i| {
-                        let parts: Vec<Var> = region_blocks
-                            .iter()
-                            .zip(&pa.regions)
-                            .map(|(&block, &r)| tape.slice_cols(block, i * r, (i + 1) * r))
-                            .collect();
-                        let z = tape.hconcat(&parts);
-                        tape.relu(z)
-                    })
-                    .collect()
+                let z = tape.hconcat(&regions);
+                tape.relu(z)
             }
             _ => unreachable!("model has exactly one encoder"),
-        };
-
-        // Decoder g_i = ReLU(z_i · w_i + b_i); computed per distance, then
-        // concatenated to n × n_out.
-        let outs: Vec<Var> = z_all
-            .iter()
-            .enumerate()
-            .map(|(i, &z)| {
-                let wi = tape.slice_rows(dec_w, i, i + 1); // 1 × z_dim
-                let raw = tape.matmul_rowvec(z, wi);
-                let bi = tape.slice_cols(dec_b, i, i + 1);
-                let bb = tape.broadcast_row(bi, n);
-                let sum = tape.add(raw, bb);
-                tape.relu(sum)
-            })
-            .collect();
-        tape.hconcat(&outs)
+        }
     }
 
     /// `cum[:, τ] = Σ_{i≤τ} dist[:, i]` via multiplication with a constant
     /// upper-triangular ones matrix.
-    fn prefix_sum(&self, tape: &mut Tape, dist: Var, _n: usize) -> Var {
+    fn prefix_sum(&self, tape: &mut Tape, dist: Var) -> Var {
         let n_out = self.config.n_out;
         let tri = Matrix::from_fn(n_out, n_out, |i, j| if i <= j { 1.0 } else { 0.0 });
         let tri = tape.input(tri);
@@ -567,32 +641,12 @@ impl CardNetModel {
     }
 }
 
-/// `matmul` against a `1 × k` row vector treated as `k × 1` — a tape helper
-/// for the decoder dot products.
-trait TapeDecodeExt {
-    fn matmul_rowvec(&mut self, a: Var, row: Var) -> Var;
-}
-
-impl TapeDecodeExt for Tape {
-    fn matmul_rowvec(&mut self, a: Var, row: Var) -> Var {
-        // (n × k) @ (k × 1): transpose the row on the tape by slicing —
-        // a 1×k row reshaped via matmul with its transpose is overkill, so we
-        // multiply element-wise and sum columns instead:
-        // a ⊙ broadcast(row) summed over columns = a @ rowᵀ.
-        let n = self.value(a).rows();
-        let rb = self.broadcast_row(row, n);
-        let prod = self.mul(a, rb);
-        // Sum over columns via matmul with a ones column vector.
-        let k = self.value(a).cols();
-        let ones = self.input(Matrix::full(k, 1, 1.0));
-        self.matmul(prod, ones)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cardest_nn::rng;
+    use cardest_nn::{loss, rng, Adam, KernelBackend, Optimizer};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn toy_model(encoder: EncoderKind, with_vae: bool) -> (CardNetModel, ParamStore) {
         let mut store = ParamStore::new();
@@ -839,6 +893,195 @@ mod tests {
                         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
                         "vae={with_vae} NaN in W₁ row {poisoned}: output {j}: {a} vs {b}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The per-distance formulation that the stacked tape replaced, kept as
+    /// the reference of the trained-weight gate below: one Φ chain per
+    /// distance, each recording its own copy of every weight, and decoder
+    /// `i` as `(z_i ⊙ w_i) · 1 + b_i`. Only the VAE is shared with the
+    /// stacked path; `linear`'s own test pins it to the separate product and
+    /// bias nodes recorded here.
+    fn per_distance_forward(
+        model: &CardNetModel,
+        tape: &mut Tape,
+        store: &ParamStore,
+        x: Matrix,
+        noise_rng: &mut impl Rng,
+        vae_beta: f32,
+    ) -> ModelForward {
+        let n = x.rows();
+        let n_out = model.config.n_out;
+        let xv = tape.input(x);
+        let (xprime, vae_loss) = match &model.vae {
+            Some(vae) => {
+                let fwd = vae.forward_train(tape, store, xv, noise_rng, vae_beta);
+                (tape.hconcat(&[xv, fwd.z]), Some(fwd.loss))
+            }
+            None => (xv, None),
+        };
+        let e = tape.param(store, model.e);
+        let dec_w = tape.param(store, model.dec_w);
+        let dec_b = tape.param(store, model.dec_b);
+        let z_all: Vec<Var> = match (&model.phi, &model.phi_a) {
+            (Some(phi), _) => (0..n_out)
+                .map(|i| {
+                    let ei = tape.slice_rows(e, i, i + 1);
+                    let eb = tape.broadcast_row(ei, n);
+                    let xi = tape.hconcat(&[xprime, eb]);
+                    phi.layers
+                        .iter()
+                        .fold(xi, |h, layer| dense(tape, store, layer, h))
+                })
+                .collect(),
+            (None, Some(pa)) => {
+                let mut h = xprime;
+                let mut region_blocks: Vec<Var> = Vec::new();
+                for (layer, &head) in pa.hidden.iter().zip(&pa.heads) {
+                    h = dense(tape, store, layer, h);
+                    let head_v = tape.param(store, head);
+                    region_blocks.push(tape.matmul(h, head_v));
+                }
+                (0..n_out)
+                    .map(|i| {
+                        let parts: Vec<Var> = region_blocks
+                            .iter()
+                            .zip(&pa.regions)
+                            .map(|(&block, &r)| tape.slice_cols(block, i * r, (i + 1) * r))
+                            .collect();
+                        let z = tape.hconcat(&parts);
+                        tape.relu(z)
+                    })
+                    .collect()
+            }
+            _ => unreachable!("model has exactly one encoder"),
+        };
+        let outs: Vec<Var> = z_all
+            .iter()
+            .enumerate()
+            .map(|(i, &z)| {
+                let wi = tape.slice_rows(dec_w, i, i + 1);
+                let wb = tape.broadcast_row(wi, n);
+                let prod = tape.mul(z, wb);
+                let ones = tape.input(Matrix::full(model.config.z_dim, 1, 1.0));
+                let raw = tape.matmul(prod, ones);
+                let bi = tape.slice_cols(dec_b, i, i + 1);
+                let bb = tape.broadcast_row(bi, n);
+                let sum = tape.add(raw, bb);
+                tape.relu(sum)
+            })
+            .collect();
+        let dist = tape.hconcat(&outs);
+        let cum = if model.config.incremental {
+            let tri = Matrix::from_fn(n_out, n_out, |i, j| if i <= j { 1.0 } else { 0.0 });
+            let tri = tape.input(tri);
+            tape.matmul(dist, tri)
+        } else {
+            dist
+        };
+        ModelForward {
+            dist,
+            cum,
+            vae_loss,
+        }
+    }
+
+    /// A dense layer as the per-distance tape recorded it: product, bias,
+    /// activation, one node each.
+    fn dense(tape: &mut Tape, store: &ParamStore, layer: &Dense, x: Var) -> Var {
+        let w = tape.param(store, layer.w);
+        let b = tape.param(store, layer.b);
+        let h = tape.matmul(x, w);
+        let h = tape.add_row(h, b);
+        layer.activation.apply(tape, h)
+    }
+
+    type TrainForward =
+        fn(&CardNetModel, &mut Tape, &ParamStore, Matrix, &mut StdRng, f32) -> ModelForward;
+
+    /// Three training steps shaped like `Trainer::step` (P(τ)-weighted
+    /// cumulative MSLE, ω-weighted per-distance MSLE, VAE loss, clipping,
+    /// Adam), each on its own batch, through `forward` on tapes with `par`.
+    fn trained_store(cfg: &CardNetConfig, par: Parallelism, forward: TrainForward) -> ParamStore {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut store = ParamStore::new();
+        let model = CardNetModel::new(&mut store, &mut rng, cfg.clone());
+        let n_out = cfg.n_out;
+        let p_tau = Matrix::from_fn(1, n_out, |_, i| (i + 1) as f32 / 21.0);
+        let omega = Matrix::from_fn(1, n_out, |_, i| if i % 2 == 0 { 0.3 } else { 0.05 });
+        let mut opt = Adam::new(1e-2);
+        for step in 0..3 {
+            let x = Matrix::from_fn(10, cfg.input_dim, |r, c| {
+                f32::from(u8::from((r * 7 + c * 3 + step) % 5 < 2))
+            });
+            let dist = Matrix::from_fn(10, n_out, |r, i| ((r * 5 + i * 3 + step) % 7) as f32);
+            let mut cum = dist.clone();
+            for r in 0..cum.rows() {
+                let row = cum.row_mut(r);
+                for j in 1..row.len() {
+                    row[j] += row[j - 1];
+                }
+            }
+            let mut tape = Tape::with_parallelism(par);
+            let fwd = forward(&model, &mut tape, &store, x, &mut rng, 0.1);
+            let dist_target = if cfg.incremental { dist } else { cum.clone() };
+            let (cum_t, dist_t) = (tape.input(cum), tape.input(dist_target));
+            let (p, w) = (tape.input(p_tau.clone()), tape.input(omega.clone()));
+            let main = loss::weighted_msle(&mut tape, fwd.cum, cum_t, p);
+            let per_dist = loss::weighted_msle(&mut tape, fwd.dist, dist_t, w);
+            let scaled = tape.scale(per_dist, 0.1);
+            let mut total = tape.add(main, scaled);
+            if let Some(vl) = fwd.vae_loss {
+                let scaled = tape.scale(vl, 0.1);
+                total = tape.add(total, scaled);
+            }
+            tape.backward(total, &mut store);
+            store.clip_grad_norm(5.0);
+            opt.step(&mut store);
+        }
+        store
+    }
+
+    /// The stacked training tape trains the weights of the per-distance
+    /// reference, bit for bit, for both encoders with and without the VAE
+    /// and incremental prediction, on either kernel backend at 1, 2 and 3
+    /// forced workers.
+    #[test]
+    fn stacked_training_matches_per_distance_reference_bitwise() {
+        for enc in [EncoderKind::Shared, EncoderKind::Accelerated] {
+            for with_vae in [false, true] {
+                for incremental in [true, false] {
+                    let mut cfg = CardNetConfig::new(12, 6);
+                    cfg.encoder = enc;
+                    cfg.phi_hidden = vec![16, 8];
+                    cfg.z_dim = 9;
+                    cfg.vae_hidden = vec![16];
+                    cfg.vae_latent = 4;
+                    cfg.incremental = incremental;
+                    if !with_vae {
+                        cfg = cfg.without_vae();
+                    }
+                    let want = trained_store(&cfg, Parallelism::serial(), per_distance_forward);
+                    for backend in [KernelBackend::Blocked, KernelBackend::Simd] {
+                        for t in [1, 2, 3] {
+                            let par = Parallelism::exact_threads(t).with_backend(backend);
+                            let got = trained_store(&cfg, par, |m, t, s, x, r, b| {
+                                m.forward_train(t, s, x, r, b)
+                            });
+                            for id in want.ids() {
+                                let (w, g) = (want.value(id).as_slice(), got.value(id).as_slice());
+                                assert!(
+                                    w.iter().zip(g).all(|(w, g)| w.to_bits() == g.to_bits()),
+                                    "{} differs: {enc:?} vae={with_vae} \
+                                     incremental={incremental} {}/threads={t}",
+                                    want.name(id),
+                                    backend.label()
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -7,10 +7,13 @@
 //!
 //! Loading is *validated*: a snapshot records the `τ_max` of the extractor it
 //! was trained behind, and [`Snapshot::validate`] rejects any payload whose
-//! decoder count disagrees with it. A model that silently mis-decodes (e.g.
-//! a truncated weight file, or a snapshot paired with the wrong extractor
-//! configuration) would be poison for a hot-swapping service — the serving
-//! layer only ever publishes snapshots that pass this check.
+//! decoder count disagrees with it, any weight matrix whose buffer does not
+//! hold `rows · cols` values, and any parameter that is missing or not in
+//! the shape the model configuration implies. A model that silently
+//! mis-decodes or panics in a kernel (e.g. a truncated weight file, or a
+//! snapshot paired with the wrong extractor configuration) would be poison
+//! for a hot-swapping service — the serving layer only ever publishes
+//! snapshots that pass this check.
 
 use crate::estimator::CardNetEstimator;
 use crate::model::CardNetModel;
@@ -111,7 +114,9 @@ impl Snapshot {
                 self.tau_max + 1
             )));
         }
-        Ok(())
+        self.model
+            .check_params(&self.params)
+            .map_err(SnapshotError::Invalid)
     }
 
     /// Checks this snapshot against the *requesting* configuration — the
@@ -309,5 +314,45 @@ mod tests {
         // must agree with itself after the round trip.
         let got_raw = est.model().infer_sum(est.store(), &x, 4);
         assert_eq!(expect, got_raw);
+    }
+
+    /// Drops the first value of the named parameter's data from a snapshot's
+    /// JSON, leaving its recorded shape alone.
+    fn truncate_param(json: &str, name: &str) -> String {
+        let at = json
+            .find(&format!("\"name\":\"{name}\""))
+            .expect("param named");
+        let data = at + json[at..].find("\"data\":[").expect("data array") + "\"data\":[".len();
+        let comma = data + json[data..].find(',').expect("more than one value");
+        format!("{}{}", &json[..data], &json[comma + 1..])
+    }
+
+    #[test]
+    fn truncated_or_misshaped_parameters_are_rejected() {
+        let (snap, _, _) = tiny_snapshot(66);
+        let json = snap.to_json().expect("serialize");
+        let expect_invalid = |json: &str, what: &str| match Snapshot::from_json(json) {
+            Err(SnapshotError::Invalid(msg)) => assert!(msg.contains(what), "{msg}"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("accepted a snapshot with {what}"),
+        };
+        // A weight buffer one value short of its recorded shape.
+        expect_invalid(&truncate_param(&json, "cardnet.phi.0.w"), "values for");
+        // W₁ one row short: a consistent matrix in the wrong shape.
+        let mut bad = Snapshot::from_json(&json).expect("valid");
+        let w1 = bad
+            .params
+            .ids()
+            .find(|&id| bad.params.name(id) == "cardnet.phi.0.w");
+        let w1 = w1.expect("W₁ stored");
+        let (rows, cols) = bad.params.value(w1).shape();
+        *bad.params.value_mut(w1) = Matrix::zeros(rows - 1, cols);
+        expect_invalid(&bad.to_json().expect("serialize"), "cardnet.phi.0.w");
+        // A decoder bias handle past the end of the store.
+        let n = snap.params.len();
+        let dec_b = json.find("\"dec_b\":").expect("dec_b handle");
+        let end = dec_b + json[dec_b..].find([',', '}']).expect("handle ends");
+        let dangling = format!("{}\"dec_b\":{n}{}", &json[..dec_b], &json[end..]);
+        expect_invalid(&dangling, "does not exist");
     }
 }

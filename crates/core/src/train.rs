@@ -150,11 +150,13 @@ impl Trainer {
         let n = x.rows();
         let bs = self.options.batch_size.min(n).max(1);
         let mut order: Vec<usize> = (0..n).collect();
+        // One tape for every batch: each pass reuses the last one's buffers.
+        let mut tape = Tape::new();
         for _ in 0..self.options.vae_epochs {
             order.shuffle(&mut self.rng);
             for chunk in order.chunks(bs) {
                 let xb = x.gather_rows(chunk);
-                let mut tape = Tape::with_parallelism(par);
+                tape.reset(par);
                 let xv = tape.input(xb);
                 let vae = self.model.vae().expect("vae enabled");
                 let fwd = vae.forward_train(&mut tape, &self.store, xv, &mut self.rng, 0.1);
@@ -165,12 +167,14 @@ impl Trainer {
         }
     }
 
-    /// One optimization step over a batch; returns the scalar loss.
-    fn step(&mut self, batch: &TrainTensors, opt: &mut Adam) -> f32 {
-        let mut tape = Tape::with_parallelism(self.kernel_parallelism());
-        let fwd =
-            self.model
-                .forward_train(&mut tape, &self.store, batch.x.clone(), &mut self.rng, 0.1);
+    /// One optimization step over a batch, recorded on `tape` after a reset
+    /// (so it reuses the buffers of the step before); returns the scalar
+    /// loss.
+    fn step(&mut self, tape: &mut Tape, batch: &TrainTensors, opt: &mut Adam) -> f32 {
+        tape.reset(self.kernel_parallelism());
+        let fwd = self
+            .model
+            .forward_train(tape, &self.store, batch.x.clone(), &mut self.rng, 0.1);
         let cum_t = tape.input(batch.cum.clone());
         // The −incremental ablation's decoders predict cumulative values
         // directly, so its per-distance term also targets the cumulative.
@@ -181,12 +185,12 @@ impl Trainer {
         };
         let dist_t = tape.input(dist_targets);
         let p = tape.input(self.p_tau.clone());
-        let main = loss::weighted_msle(&mut tape, fwd.cum, cum_t, p);
+        let main = loss::weighted_msle(tape, fwd.cum, cum_t, p);
 
         let mut total = main;
         if self.options.dynamic && self.options.lambda_delta > 0.0 {
             let w = tape.input(self.omega.clone());
-            let per_dist = loss::weighted_msle(&mut tape, fwd.dist, dist_t, w);
+            let per_dist = loss::weighted_msle(tape, fwd.dist, dist_t, w);
             let scaled = tape.scale(per_dist, self.options.lambda_delta);
             total = tape.add(total, scaled);
         }
@@ -274,6 +278,7 @@ impl Trainer {
         let mut prev_per_dist: Option<Vec<f32>> = None;
         let mut bad_validations = 0usize;
         let mut epochs_run = 0usize;
+        let mut tape = Tape::new();
 
         for epoch in 0..self.options.epochs {
             epochs_run = epoch + 1;
@@ -290,7 +295,7 @@ impl Trainer {
             order.shuffle(&mut self.rng);
             for chunk in order.chunks(bs) {
                 let batch = train.batch(chunk);
-                self.step(&batch, &mut opt);
+                self.step(&mut tape, &batch, &mut opt);
             }
             if (epoch + 1) % self.options.validate_every == 0 || epoch + 1 == self.options.epochs {
                 let (val, per_dist) = self.validate(valid);
@@ -340,12 +345,13 @@ impl Trainer {
         let (mut last_val, _) = self.validate(valid);
         let mut flat = 0usize;
         let mut epochs_run = 0usize;
+        let mut tape = Tape::new();
         for _ in 0..max_epochs {
             epochs_run += 1;
             order.shuffle(&mut self.rng);
             for chunk in order.chunks(bs) {
                 let batch = train.batch(chunk);
-                self.step(&batch, &mut opt);
+                self.step(&mut tape, &batch, &mut opt);
             }
             let (val, _) = self.validate(valid);
             // "Until the validation error does not change for three

@@ -47,7 +47,7 @@
 //! var (`blocked` | `simd` | `auto`) if set, else the best the CPU
 //! supports.
 
-use crate::matrix::{Matrix, Weights};
+use crate::matrix::{scan_finite, Matrix, Weights};
 use std::sync::OnceLock;
 
 /// Which compute-kernel implementation tier to run.
@@ -412,48 +412,32 @@ impl Matrix {
     /// [`Matrix::t_matmul`] for every input.
     pub fn t_matmul_with(&self, other: &Matrix, par: Parallelism) -> Matrix {
         assert_eq!(self.rows(), other.rows(), "t_matmul shape mismatch");
-        let skip_zeros = other.all_finite();
-        let mut out = Matrix::zeros(self.cols(), other.cols());
-        let n = other.cols();
-        let k = self.cols();
-        let samples = self.rows();
-        let work = samples * k * n;
-        let workers = par.workers(k, work);
-        let backend = par.backend();
-        partition_rows(out.as_mut_slice(), n, workers, |first_row, chunk| {
-            // The blocked t_matmul is the reference loop restricted to a row
-            // range; Simd vectorizes its inner saxpy across output columns.
-            match backend {
-                KernelBackend::Simd => t_matmul_rows_simd(
-                    self.as_slice(),
-                    k,
-                    other.as_slice(),
-                    n,
-                    samples,
-                    first_row,
-                    chunk,
-                    skip_zeros,
-                ),
-                _ => t_matmul_rows(
-                    self.as_slice(),
-                    k,
-                    other.as_slice(),
-                    n,
-                    samples,
-                    first_row,
-                    chunk,
-                    skip_zeros,
-                ),
-            }
-        });
-        out
+        t_matmul_slices(
+            self.as_slice(),
+            self.cols(),
+            other.as_slice(),
+            other.cols(),
+            par,
+        )
     }
 
     /// `self @ otherᵀ` through the blocked/threaded kernel. Bit-identical to
     /// [`Matrix::matmul_t`] for every input.
     pub fn matmul_t_with(&self, other: &Matrix, par: Parallelism) -> Matrix {
-        assert_eq!(self.cols(), other.cols(), "matmul_t shape mismatch");
         let mut out = Matrix::zeros(self.rows(), other.rows());
+        self.matmul_t_into(other, &mut out, par);
+        out
+    }
+
+    /// [`Matrix::matmul_t_with`] written into `out`, which must be
+    /// `self.rows() × other.rows()` and hold zeros.
+    pub(crate) fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix, par: Parallelism) {
+        assert_eq!(self.cols(), other.cols(), "matmul_t shape mismatch");
+        assert_eq!(
+            out.shape(),
+            (self.rows(), other.rows()),
+            "matmul_t output shape"
+        );
         let n = other.rows();
         let k = self.cols();
         let backend = par.backend();
@@ -489,8 +473,46 @@ impl Matrix {
                 None => matmul_t_rows(self.as_slice(), k, other.as_slice(), n, first_row, chunk),
             }
         });
-        out
     }
+}
+
+/// `aᵀ @ b` for row-major `a` (`samples × k`) and `b` (`samples × n`) given
+/// as slices, so one row block of two taller matrices needs no copy. The
+/// zero skip follows [`Matrix::t_matmul`]'s rule over these rows of `b`
+/// alone: the bits of [`Matrix::t_matmul_with`] on the blocks as matrices.
+pub(crate) fn t_matmul_slices(
+    ad: &[f32],
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    par: Parallelism,
+) -> Matrix {
+    let samples = ad
+        .len()
+        .checked_div(k)
+        .or(bd.len().checked_div(n))
+        .unwrap_or(0);
+    assert!(
+        ad.len() == samples * k && bd.len() == samples * n,
+        "t_matmul shape mismatch"
+    );
+    let skip_zeros = scan_finite(bd);
+    let mut out = Matrix::zeros(k, n);
+    let workers = par.workers(k, samples * k * n);
+    let backend = par.backend();
+    partition_rows(out.as_mut_slice(), n, workers, |first_row, chunk| {
+        // The blocked t_matmul is the reference loop restricted to a row
+        // range; Simd vectorizes its inner saxpy across output columns.
+        match backend {
+            KernelBackend::Simd => {
+                t_matmul_rows_simd(ad, k, bd, n, samples, first_row, chunk, skip_zeros)
+            }
+            KernelBackend::Blocked => {
+                t_matmul_rows(ad, k, bd, n, samples, first_row, chunk, skip_zeros)
+            }
+        }
+    });
+    out
 }
 
 /// Blocked `matmul` over output rows `first_row ..` of `a @ b`, accumulating

@@ -101,10 +101,22 @@ impl Dense {
 
     /// Forward pass on the tape (training).
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
+        self.forward_blocks(tape, store, x, 1)
+    }
+
+    /// [`Dense::forward`] over `x` stacked from `blocks` equal row blocks:
+    /// the weight and bias gradients are summed block by block, last block
+    /// first ([`Tape::linear_blocks`]).
+    pub fn forward_blocks(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        x: Var,
+        blocks: usize,
+    ) -> Var {
         let w = tape.param(store, self.w);
         let b = tape.param(store, self.b);
-        let h = tape.matmul(x, w);
-        let h = tape.add_row(h, b);
+        let h = tape.linear_blocks(x, w, b, blocks);
         self.activation.apply(tape, h)
     }
 
@@ -137,6 +149,24 @@ impl Dense {
     /// Number of scalar parameters in this layer.
     pub fn num_params(&self) -> usize {
         self.in_dim * self.out_dim + self.out_dim
+    }
+
+    /// Checks that this layer maps `in_dim` to `out_dim` and that `store`
+    /// holds its weight and bias in those shapes.
+    pub fn check_shapes(
+        &self,
+        store: &ParamStore,
+        in_dim: usize,
+        out_dim: usize,
+    ) -> Result<(), String> {
+        if (self.in_dim, self.out_dim) != (in_dim, out_dim) {
+            return Err(format!(
+                "dense layer maps {} to {}, expected {in_dim} to {out_dim}",
+                self.in_dim, self.out_dim
+            ));
+        }
+        store.expect_shape(self.w, in_dim, out_dim)?;
+        store.expect_shape(self.b, 1, out_dim)
     }
 }
 
@@ -204,6 +234,22 @@ impl Mlp {
             h = layer.infer_with(store, &h, par);
         }
         h
+    }
+
+    /// Checks that layer `j` maps `dims[j]` to `dims[j + 1]`, for exactly
+    /// `dims.len() − 1` layers (see [`Dense::check_shapes`]).
+    pub fn check_shapes(&self, store: &ParamStore, dims: &[usize]) -> Result<(), String> {
+        if self.layers.len() + 1 != dims.len() {
+            return Err(format!(
+                "{} layers, expected {}",
+                self.layers.len(),
+                dims.len().saturating_sub(1)
+            ));
+        }
+        for (layer, io) in self.layers.iter().zip(dims.windows(2)) {
+            layer.check_shapes(store, io[0], io[1])?;
+        }
+        Ok(())
     }
 
     pub fn in_dim(&self) -> usize {

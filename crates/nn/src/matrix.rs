@@ -106,10 +106,20 @@ impl Matrix {
         &mut self.data
     }
 
+    /// The row-major buffer, for reuse.
+    pub(crate) fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Row `r` as a slice.
     pub fn row(&self, r: usize) -> &[f32] {
         let start = r * self.cols;
         &self.data[start..start + self.cols]
+    }
+
+    /// Rows `rows` as one contiguous slice.
+    pub(crate) fn row_range(&self, rows: std::ops::Range<usize>) -> &[f32] {
+        &self.data[rows.start * self.cols..rows.end * self.cols]
     }
 
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
@@ -277,10 +287,15 @@ impl Matrix {
 
     /// Column sums as a `1 x cols` row vector.
     pub fn col_sums(&self) -> Matrix {
+        self.col_sums_of(0..self.rows)
+    }
+
+    /// Column sums of rows `rows` as a `1 x cols` row vector, each column
+    /// summed from `+0.0` in ascending row order.
+    pub(crate) fn col_sums_of(&self, rows: std::ops::Range<usize>) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for (o, &v) in out.data.iter_mut().zip(row) {
+        for r in rows {
+            for (o, &v) in out.data.iter_mut().zip(self.row(r)) {
                 *o += v;
             }
         }
@@ -437,7 +452,7 @@ impl<'a> From<&'a Matrix> for Weights<'a> {
 
 /// Whether every value is finite. A branch-free fold over each 256-value
 /// chunk vectorizes; the early exit happens between chunks.
-fn scan_finite(data: &[f32]) -> bool {
+pub(crate) fn scan_finite(data: &[f32]) -> bool {
     data.chunks(256)
         .all(|c| c.iter().fold(true, |ok, v| ok & v.is_finite()))
 }

@@ -86,6 +86,41 @@ impl ParamStore {
         Weights::cached(&p.value, &p.finite)
     }
 
+    /// Checks that `id` names a stored parameter of shape `rows × cols`.
+    pub fn expect_shape(&self, id: ParamId, rows: usize, cols: usize) -> Result<(), String> {
+        let p = self.params.get(id.0).ok_or_else(|| {
+            format!(
+                "parameter #{} does not exist ({} stored)",
+                id.0,
+                self.params.len()
+            )
+        })?;
+        let (r, c) = p.value.shape();
+        if (r, c) != (rows, cols) {
+            return Err(format!(
+                "parameter {} is {r}x{c}, expected {rows}x{cols}",
+                p.name
+            ));
+        }
+        Ok(())
+    }
+
+    /// Checks that every stored matrix holds exactly `rows · cols` values,
+    /// which a deserialized store does not guarantee.
+    pub fn check_buffers(&self) -> Result<(), String> {
+        for p in &self.params {
+            let (r, c) = p.value.shape();
+            if r.checked_mul(c) != Some(p.value.len()) {
+                return Err(format!(
+                    "parameter {} holds {} values for {r}x{c}",
+                    p.name,
+                    p.value.len()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     pub fn grad(&self, id: ParamId) -> &Matrix {
         &self.params[id.0].grad
     }

@@ -187,6 +187,34 @@ impl Vae {
     pub fn latent_dim(&self) -> usize {
         self.config.latent_dim
     }
+
+    /// Checks every layer against the shapes [`Vae::new`] gives
+    /// `self.config`, and that `store` holds them.
+    pub fn check_shapes(&self, store: &ParamStore) -> Result<(), String> {
+        let c = &self.config;
+        let Some(&enc_out) = c.hidden.last() else {
+            return Err("VAE has no hidden layer".to_string());
+        };
+        let encoder: Vec<usize> = std::iter::once(c.input_dim)
+            .chain(c.hidden.iter().copied())
+            .collect();
+        let decoder: Vec<usize> = std::iter::once(c.latent_dim)
+            .chain(c.hidden.iter().rev().copied())
+            .chain(std::iter::once(c.input_dim))
+            .collect();
+        let check = |name: &str, mlp: &Mlp, dims: &[usize]| {
+            mlp.check_shapes(store, dims)
+                .map_err(|e| format!("VAE {name}: {e}"))
+        };
+        check("encoder", &self.encoder, &encoder)?;
+        check("mean head", &self.mu_head, &[enc_out, c.latent_dim])?;
+        check(
+            "log-variance head",
+            &self.logvar_head,
+            &[enc_out, c.latent_dim],
+        )?;
+        check("decoder", &self.decoder, &decoder)
+    }
 }
 
 #[cfg(test)]

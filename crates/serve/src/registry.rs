@@ -167,7 +167,9 @@ impl RegistryReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::tiny_estimator;
+    use crate::testutil::{tiny_estimator, tiny_setup};
+    use cardest_fx::build_extractor;
+    use cardest_nn::Matrix;
 
     #[test]
     fn publish_bumps_epoch_and_tags_models() {
@@ -200,5 +202,59 @@ mod tests {
         reg.publish("m", tiny_estimator(4));
         assert_eq!(reader.get("m").expect("refreshed").epoch, 2);
         assert!(reader.get("absent").is_none());
+    }
+
+    /// A snapshot whose W₁ buffer is one value short, or whose W₁ is one row
+    /// short, is refused at publish, before a worker can index into it.
+    #[test]
+    fn corrupt_snapshots_are_refused_at_publish() {
+        let (ds, est) = tiny_setup(8);
+        let snapshot = || Snapshot {
+            version: Snapshot::VERSION,
+            model: est.model().clone(),
+            params: est.store().clone(),
+            extractor: est.extractor().name().to_string(),
+            tau_max: est.extractor().tau_max(),
+        };
+        let fx = || build_extractor(&ds, 8, 1);
+        let reg = ModelRegistry::new();
+        let refused = |snap: Snapshot| match reg.publish_snapshot("m", snap, fx()) {
+            Err(SnapshotError::Invalid(msg)) => msg,
+            other => panic!(
+                "corrupt snapshot not refused: {:?}",
+                other.map_err(|e| e.to_string())
+            ),
+        };
+
+        // Truncated: drop W₁'s first value from the JSON and deserialize
+        // without validation, as a snapshot file's bytes would arrive.
+        let json = snapshot().to_json().expect("serialize");
+        let at = json
+            .find("\"name\":\"cardnet.phi.0.w\"")
+            .expect("W₁ in the JSON");
+        let data = at + json[at..].find("\"data\":[").expect("W₁ data") + "\"data\":[".len();
+        let comma = data + json[data..].find(',').expect("W₁ has values");
+        let truncated = format!("{}{}", &json[..data], &json[comma + 1..]);
+        assert!(Snapshot::from_json(&truncated).is_err());
+        let truncated: Snapshot = serde_json::from_str(&truncated).expect("still parses");
+        assert!(refused(truncated).contains("values for"));
+
+        // Mis-shaped: W₁ one row short, a consistent matrix of the wrong shape.
+        let mut misshaped = snapshot();
+        let params = &mut misshaped.params;
+        let w1 = params
+            .ids()
+            .find(|&id| params.name(id) == "cardnet.phi.0.w");
+        let w1 = w1.expect("W₁ stored");
+        let (rows, cols) = params.value(w1).shape();
+        *params.value_mut(w1) = Matrix::zeros(rows - 1, cols);
+        assert!(Snapshot::from_json(&misshaped.to_json().expect("serialize")).is_err());
+        assert!(refused(misshaped).contains("cardnet.phi.0.w"));
+
+        assert!(reg.get("m").is_none() && reg.epoch() == 0);
+        assert_eq!(
+            reg.publish_snapshot("m", snapshot(), fx()).expect("intact"),
+            1
+        );
     }
 }
