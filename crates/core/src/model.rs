@@ -311,16 +311,19 @@ impl CardNetModel {
     /// weight is recorded once. CardNet's first layer is split at `x′` as in
     /// inference ([`Tape::pair_linear`]): `x′ · W₁[..xp]` runs once per batch
     /// row, and each `(i, r)` accumulator continues from that partial sum
-    /// through `e_i · W₁[xp..]`. CardNet-A stacks the regions its one Φ′ pass
-    /// emits. One [`Tape::block_dot`] then decodes every block through its
-    /// own decoder, adding the bias after the dot product.
+    /// through `e_i · W₁[xp..]`. CardNet-A's first hidden layer takes
+    /// `x′ = [x | latent]` as the same split-K parts, with no `e` rows, and
+    /// stacks the regions its one Φ′ pass emits. One [`Tape::block_dot`]
+    /// then decodes every block through its own decoder, adding the bias
+    /// after the dot product.
     ///
     /// Backward sums every weight, bias, `E`-row and latent-column gradient
     /// block by block, last distance first (`i = n_out − 1, …, 0`): the order
     /// in which one chain per distance, each with its own copy of the
     /// weights, would deliver them. So the trained weights are those of the
     /// per-distance formulation, bit for bit. The `x` columns of `x′` are a
-    /// constant input, so no gradient is computed toward them.
+    /// constant input, so no gradient is computed toward them: for either
+    /// encoder, `G·W₁ᵀ` spans only the rows of `W₁` past `x`.
     pub fn forward_train(
         &self,
         tape: &mut Tape,
@@ -363,6 +366,8 @@ impl CardNetModel {
     /// sampled latent, if the VAE is enabled.
     fn embed_train(&self, tape: &mut Tape, store: &ParamStore, x: Var, latent: Option<Var>) -> Var {
         let n_out = self.config.n_out;
+        // x′ = [x | latent], fed to the first layer as split-K parts.
+        let parts: Vec<Var> = std::iter::once(x).chain(latent).collect();
         match (&self.phi, &self.phi_a) {
             (Some(phi), _) => {
                 // CardNet: Φ([x′ ; e_i]) with the first layer split at x′.
@@ -370,8 +375,7 @@ impl CardNetModel {
                 let e = tape.param(store, self.e);
                 let w1 = tape.param(store, first.w);
                 let b1 = tape.param(store, first.b);
-                let parts: Vec<Var> = std::iter::once(x).chain(latent).collect();
-                let h = tape.pair_linear(&parts, e, w1, b1);
+                let h = tape.pair_linear(&parts, Some(e), w1, b1);
                 let mut h = first.activation.apply(tape, h);
                 for layer in rest {
                     h = layer.forward_blocks(tape, store, h, n_out);
@@ -381,14 +385,20 @@ impl CardNetModel {
             (None, Some(pa)) => {
                 // CardNet-A: one pass through the hidden chain; each layer's
                 // head emits its region of every embedding (Figure 4), and
-                // the regions are stacked distance-major.
-                let mut h = match latent {
-                    Some(z) => tape.hconcat(&[x, z]),
-                    None => x,
-                };
+                // the regions are stacked distance-major. With x′ as parts,
+                // backward computes `G·W₁ᵀ` over the latent rows of W₁ only.
+                let first = pa.hidden.first().expect("Φ′ has a layer");
+                let w1 = tape.param(store, first.w);
+                let b1 = tape.param(store, first.b);
+                let h1 = tape.pair_linear(&parts, None, w1, b1);
+                let mut h = first.activation.apply(tape, h1);
                 let mut regions: Vec<Var> = Vec::with_capacity(pa.hidden.len());
-                for ((layer, &head), &width) in pa.hidden.iter().zip(&pa.heads).zip(&pa.regions) {
-                    h = layer.forward(tape, store, h);
+                for (i, ((layer, &head), &width)) in
+                    pa.hidden.iter().zip(&pa.heads).zip(&pa.regions).enumerate()
+                {
+                    if i > 0 {
+                        h = layer.forward(tape, store, h);
+                    }
                     let head_v = tape.param(store, head);
                     let block = tape.matmul(h, head_v); // n × (n_out·width)
                     regions.push(tape.stack_col_blocks(block, width));

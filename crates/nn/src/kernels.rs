@@ -12,13 +12,16 @@
 //! * the *blocked* kernels tile the output into register accumulators
 //!   (`MR × NR` micro-tiles for `matmul`, 4-wide dot products for
 //!   `matmul_t`), which changes memory traffic but not the order in which any
-//!   single output element receives its contributions;
+//!   single output element receives its contributions; a sparse left operand
+//!   (binary features, post-ReLU activations) and `t_matmul` take the
+//!   reference's own saxpy order instead, whose zero skip drops whole rows
+//!   of work;
 //! * the *threaded* kernels partition **output rows** across
 //!   `std::thread::scope` workers; every element is still computed by the
 //!   same blocked code on one thread, so the result is independent of the
 //!   worker count.
 //!
-//! * the *SIMD* kernels ([`KernelBackend::Simd`]) run the same tiles through
+//! * the *SIMD* kernels ([`KernelBackend::Simd`]) run the same orders through
 //!   explicit `core::arch` AVX2 / AVX-512F intrinsics behind runtime feature
 //!   detection. Vector **lanes are output columns**, never partial sums of
 //!   one element: each lane accumulates its own output element with one
@@ -28,7 +31,14 @@
 //!   whose single rounding would change bits). `matmul_t`, whose scalar form
 //!   is a dot product along `k`, is packed through a transpose first so its
 //!   SIMD form also vectorizes across output columns instead of reducing
-//!   across lanes.
+//!   across lanes. The zero-skip saxpy is one register-resident row kernel
+//!   per ISA over a *strided* left operand (element `(i, t)` at
+//!   `a[i·row_step + t·t_step]`), so it computes both the sparse-left
+//!   `A·B` and `t_matmul`'s `Aᵀ·B` without packing: a row's output chunk
+//!   (up to 128 columns in AVX-512 registers, 64 in AVX2, the last vector
+//!   masked) is loaded from `out` once, its kept terms — listed per block
+//!   without a data-dependent branch — are added in ascending order, and
+//!   the chunk is stored once.
 //!
 //! Floating-point addition is deterministic for a fixed operand order, so
 //! "same per-element order" ⇒ "same bits" — for finite values, signed zeros,
@@ -400,8 +410,15 @@ impl Matrix {
         let workers = par.workers(self.rows(), work);
         partition_rows(acc.as_mut_slice(), n, workers, |first_row, chunk| {
             let ad = self.as_slice();
+            if sparse_left {
+                let simd = backend == KernelBackend::Simd
+                    && saxpy_rows_simd(Strided::rows(ad, k), b, n, first_row, chunk, true);
+                if !simd {
+                    matmul_rows_saxpy(ad, k, b, n, first_row, chunk);
+                }
+                return;
+            }
             match backend {
-                _ if sparse_left => matmul_rows_saxpy(ad, k, b, n, first_row, chunk),
                 KernelBackend::Blocked => matmul_rows(ad, k, b, n, first_row, chunk, skip_zeros),
                 KernelBackend::Simd => matmul_rows_simd(ad, k, b, n, first_row, chunk, skip_zeros),
             }
@@ -502,14 +519,19 @@ pub(crate) fn t_matmul_slices(
     let backend = par.backend();
     partition_rows(out.as_mut_slice(), n, workers, |first_row, chunk| {
         // The blocked t_matmul is the reference loop restricted to a row
-        // range; Simd vectorizes its inner saxpy across output columns.
-        match backend {
-            KernelBackend::Simd => {
-                t_matmul_rows_simd(ad, k, bd, n, samples, first_row, chunk, skip_zeros)
-            }
-            KernelBackend::Blocked => {
-                t_matmul_rows(ad, k, bd, n, samples, first_row, chunk, skip_zeros)
-            }
+        // range; Simd reads `a` transposed in place and keeps each output
+        // row chunk in registers across all samples.
+        let simd = backend == KernelBackend::Simd
+            && saxpy_rows_simd(
+                Strided::cols(ad, k, samples),
+                bd,
+                n,
+                first_row,
+                chunk,
+                skip_zeros,
+            );
+        if !simd {
+            t_matmul_rows(ad, k, bd, n, samples, first_row, chunk, skip_zeros);
         }
     });
     out
@@ -792,41 +814,78 @@ fn matmul_rows_simd(
     matmul_rows(ad, kk, bd, n, first_row, out, skip_zeros)
 }
 
-/// [`t_matmul_rows`] through the explicit-SIMD saxpy kernel when this CPU
-/// has one, else the blocked kernel — bit-identical either way.
-#[allow(clippy::too_many_arguments)] // slice+dims boundary, see matmul_rows
-fn t_matmul_rows_simd(
-    ad: &[f32],
-    kk: usize,
+/// A left operand read in place: element `(i, t)` (output row `i`, inner
+/// term `t`) lives at `data[i·row_step + t·t_step]`, so one saxpy kernel
+/// computes `A·B` ([`Strided::rows`]) and `Aᵀ·B` ([`Strided::cols`])
+/// without packing either.
+#[derive(Clone, Copy)]
+struct Strided<'a> {
+    data: &'a [f32],
+    row_step: usize,
+    t_step: usize,
+    terms: usize,
+}
+
+impl<'a> Strided<'a> {
+    /// Row-major `A` with `k` columns, read as itself.
+    fn rows(data: &'a [f32], k: usize) -> Strided<'a> {
+        Strided {
+            data,
+            row_step: k,
+            t_step: 1,
+            terms: k,
+        }
+    }
+
+    /// Row-major `A` (`samples × k`) read as `Aᵀ`.
+    fn cols(data: &'a [f32], k: usize, samples: usize) -> Strided<'a> {
+        Strided {
+            data,
+            row_step: 1,
+            t_step: k,
+            terms: samples,
+        }
+    }
+
+    /// Panics unless rows `first_row .. first_row + rows` lie in `data`
+    /// over every term: the bound the SIMD kernels' raw reads rely on.
+    fn check(&self, first_row: usize, rows: usize) {
+        if rows > 0 && self.terms > 0 {
+            let last = (first_row + rows - 1) * self.row_step + (self.terms - 1) * self.t_step;
+            assert!(last < self.data.len(), "strided operand out of bounds");
+        }
+    }
+}
+
+/// The register-resident zero-skip saxpy (`out += lhs · bd` over the rows
+/// of `out` from `first_row`) when this CPU has an explicit-SIMD kernel,
+/// returning `false` without touching `out` when it has none, so the caller
+/// runs its blocked twin.
+fn saxpy_rows_simd(
+    lhs: Strided<'_>,
     bd: &[f32],
     n: usize,
-    samples: usize,
     first_row: usize,
     out: &mut [f32],
     skip_zeros: bool,
-) {
+) -> bool {
     #[cfg(target_arch = "x86_64")]
     match simd_level() {
         SimdLevel::Avx512 => {
             // SAFETY: simd_level() observed AVX-512F via runtime detection,
-            // satisfying the target_feature precondition; the slice/dims
-            // contract (`ad` column-major `kk x samples` from `first_row`,
-            // `bd` is `kk x n` row-major, `out.len()` a multiple of `n`) is
-            // the same one the scalar kernel is called under.
-            return unsafe {
-                x86::t_matmul_rows_avx512(ad, kk, bd, n, samples, first_row, out, skip_zeros)
-            };
+            // the kernel's only unchecked precondition; it asserts bounds.
+            unsafe { x86::saxpy_rows_avx512(lhs, bd, n, first_row, out, skip_zeros) };
+            return true;
         }
         SimdLevel::Avx2 => {
             // SAFETY: simd_level() observed AVX2 via runtime detection;
-            // slice/dims contract as above.
-            return unsafe {
-                x86::t_matmul_rows_avx2(ad, kk, bd, n, samples, first_row, out, skip_zeros)
-            };
+            // bounds are asserted by the kernel.
+            unsafe { x86::saxpy_rows_avx2(lhs, bd, n, first_row, out, skip_zeros) };
+            return true;
         }
         SimdLevel::None => {}
     }
-    t_matmul_rows(ad, kk, bd, n, samples, first_row, out, skip_zeros)
+    false
 }
 
 /// Explicit `core::arch::x86_64` kernels (AVX2 and AVX-512F).
@@ -843,12 +902,15 @@ fn t_matmul_rows_simd(
 ///   propagation rules as their scalar `mulss`/`addss` forms, so non-finite
 ///   inputs produce the same bits lane-wise;
 /// * the sparse zero-skip is decided per `(row, k)` on the scalar `a` value,
-///   exactly like the reference kernel;
-/// * column tails (`n % NR`) and row tails (`rows % MR`) fall back to the
-///   shared scalar tail bodies, which keep the same per-element order.
+///   exactly like the reference kernel (the saxpy kernel lists a row's kept
+///   terms first, so a skipped term never reaches its accumulators);
+/// * the tile kernels' column tails (`n % NR`) and row tails (`rows % MR`)
+///   fall back to the shared scalar tail bodies, which keep the same
+///   per-element order; the saxpy kernel masks its last vector instead, so
+///   masked-off lanes are neither read nor written.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{matmul_row_tail, MR, NR};
+    use super::{matmul_row_tail, Strided, MR, NR};
     use core::arch::x86_64::*;
 
     /// AVX2 `matmul` over a row chunk: `MR`-row blocks × `NR`-column tiles,
@@ -1032,20 +1094,109 @@ mod x86 {
         }
     }
 
-    /// AVX2 `t_matmul` over a row chunk: the reference sample-major saxpy
-    /// with its inner column loop vectorized (each lane owns one output
-    /// column; accumulation per element stays ascending sample order `r`).
+    /// Lanes per `__m512`.
+    const W512: usize = 16;
+    /// Lanes per `__m256`.
+    const W256: usize = 8;
+    /// Terms listed per pass: a row's kept terms of one block go to a stack
+    /// list first, so the accumulating loop has no data-dependent branch.
+    const BLOCK: usize = 128;
+
+    /// The kept terms of one block of a row, as `(t - t0, a)`.
+    type TermList = [(u32, f32); BLOCK];
+
+    /// Dispatches `$kernel::<V>` for a column chunk of `$v` vectors
+    /// (`1..=8`), so each width gets its own fully unrolled,
+    /// register-resident body.
+    macro_rules! by_width {
+        ($v:expr, $kernel:ident($($arg:expr),* $(,)?)) => {
+            match $v {
+                1 => $kernel::<1>($($arg),*),
+                2 => $kernel::<2>($($arg),*),
+                3 => $kernel::<3>($($arg),*),
+                4 => $kernel::<4>($($arg),*),
+                5 => $kernel::<5>($($arg),*),
+                6 => $kernel::<6>($($arg),*),
+                7 => $kernel::<7>($($arg),*),
+                8 => $kernel::<8>($($arg),*),
+                _ => unreachable!("chunks hold 1..=8 vectors"),
+            }
+        };
+    }
+
+    /// Lists the terms `t0 .. t0 + len` of row `row` that the zero skip
+    /// keeps (every term when `!skip_zeros`), ascending, without a
+    /// data-dependent branch; returns how many.
     ///
     /// # Safety
-    /// AVX2 must be available (callers dispatch on runtime detection).
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn t_matmul_rows_avx2(
-        ad: &[f32],
-        kk: usize,
+    /// `lhs.check` must have passed for `row`, and `t0 + len ≤ lhs.terms`,
+    /// `len ≤ BLOCK`.
+    #[inline(always)]
+    unsafe fn keep_terms(
+        lhs: Strided<'_>,
+        row: usize,
+        t0: usize,
+        len: usize,
+        skip_zeros: bool,
+        list: &mut TermList,
+    ) -> usize {
+        let at = lhs.data.as_ptr().add(row * lhs.row_step + t0 * lhs.t_step);
+        let mut kept = 0;
+        for dt in 0..len {
+            let a = *at.add(dt * lhs.t_step);
+            list[kept] = (dt as u32, a);
+            kept += usize::from(!skip_zeros || a != 0.0);
+        }
+        kept
+    }
+
+    /// Feeds `step(t, a)` every kept term of row `row` in ascending `t`,
+    /// starting from the first block's list (`kept` entries, filled by
+    /// [`keep_terms`]) and listing each later block in turn.
+    ///
+    /// # Safety
+    /// As [`keep_terms`], for every block of `lhs.terms`.
+    #[inline(always)]
+    unsafe fn walk_terms(
+        lhs: Strided<'_>,
+        row: usize,
+        skip_zeros: bool,
+        list: &mut TermList,
+        mut kept: usize,
+        mut step: impl FnMut(usize, f32),
+    ) {
+        let mut t0 = 0;
+        loop {
+            for &(dt, a) in &list[..kept] {
+                step(t0 + dt as usize, a);
+            }
+            t0 += BLOCK;
+            if t0 >= lhs.terms {
+                return;
+            }
+            let len = (lhs.terms - t0).min(BLOCK);
+            kept = keep_terms(lhs, row, t0, len, skip_zeros, list);
+        }
+    }
+
+    /// AVX-512F zero-skip saxpy over a row chunk: `out[i, ..] += Σ_t
+    /// lhs(first_row + i, t) · b[t, ..]` for the rows of `out`
+    /// (`out.len() / n` of them), terms in ascending `t`. Each row runs
+    /// through column chunks of up to eight 512-bit accumulators (128
+    /// columns, the last vector masked): the chunk is loaded from `out`
+    /// once, every kept term adds `a · b` (one `mul`, one `add`), the
+    /// reference's per-`(row, t)` zero skip drops the rest when
+    /// `skip_zeros`, and the chunk is stored once.
+    ///
+    /// # Safety
+    /// AVX-512F must be available (callers dispatch on runtime detection).
+    /// Bounds are asserted here: `lhs` must cover rows `first_row ..` of
+    /// this chunk over all its terms, and `bd` must hold `lhs.terms × n`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn saxpy_rows_avx512(
+        lhs: Strided<'_>,
         bd: &[f32],
         n: usize,
-        samples: usize,
         first_row: usize,
         out: &mut [f32],
         skip_zeros: bool,
@@ -1053,48 +1204,87 @@ mod x86 {
         if n == 0 {
             return;
         }
-        let rows_here = out.len() / n;
-        if rows_here == 0 {
-            return;
+        let rows = out.len() / n;
+        lhs.check(first_row, rows);
+        assert!(bd.len() >= lhs.terms * n, "saxpy: b holds too few rows");
+        let mut list: TermList = [(0, 0.0); BLOCK];
+        let mut j0 = 0;
+        while j0 < n {
+            let width = (n - j0).min(8 * W512);
+            let vectors = width.div_ceil(W512);
+            let tail_lanes = width - (vectors - 1) * W512;
+            let tail = ((1u32 << tail_lanes) - 1) as __mmask16;
+            let (b, o) = (bd.as_ptr().add(j0), out.as_mut_ptr().add(j0));
+            let l = &mut list;
+            by_width!(
+                vectors,
+                cols_avx512(lhs, first_row, rows, b, n, o, tail, skip_zeros, l)
+            );
+            j0 += width;
         }
-        for r in 0..samples {
-            let a_seg = &ad[r * kk + first_row..r * kk + first_row + rows_here];
-            let b_row = bd.as_ptr().add(r * n);
-            for (k_local, &av) in a_seg.iter().enumerate() {
-                if skip_zeros && av == 0.0 {
-                    continue;
+    }
+
+    /// One column chunk of `V` 512-bit vectors over every row of
+    /// [`saxpy_rows_avx512`]'s chunk, each row's part held in registers
+    /// across all its terms.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; `lhs.check(first_row, rows)` passed,
+    /// `b` points at `lhs.terms` rows of stride `n` with `(V - 1) · 16` +
+    /// the lanes of `tail` readable in each, and `out` at `rows` rows of
+    /// stride `n` with as many writable.
+    // lint: hot-path
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)] // one column chunk: pointers, dims, mask
+    unsafe fn cols_avx512<const V: usize>(
+        lhs: Strided<'_>,
+        first_row: usize,
+        rows: usize,
+        b: *const f32,
+        n: usize,
+        out: *mut f32,
+        tail: __mmask16,
+        skip_zeros: bool,
+        list: &mut TermList,
+    ) {
+        let mask = |v: usize| if v + 1 == V { tail } else { !0 };
+        let first = lhs.terms.min(BLOCK);
+        for r in 0..rows {
+            let row = first_row + r;
+            let kept = keep_terms(lhs, row, 0, first, skip_zeros, list);
+            if kept == 0 && first == lhs.terms {
+                continue; // nothing to add: this row of `out` keeps its bits
+            }
+            let out = out.add(r * n);
+            let mut acc = [_mm512_setzero_ps(); V];
+            for (v, x) in acc.iter_mut().enumerate() {
+                *x = _mm512_maskz_loadu_ps(mask(v), out.add(v * W512));
+            }
+            walk_terms(lhs, row, skip_zeros, list, kept, |t, a| {
+                let (bt, va) = (b.add(t * n), _mm512_set1_ps(a));
+                for (v, x) in acc.iter_mut().enumerate() {
+                    let bv = _mm512_maskz_loadu_ps(mask(v), bt.add(v * W512));
+                    *x = _mm512_add_ps(*x, _mm512_mul_ps(va, bv));
                 }
-                let out_row = &mut out[k_local * n..k_local * n + n];
-                let op = out_row.as_mut_ptr();
-                let va = _mm256_set1_ps(av);
-                let mut j = 0;
-                while j + 8 <= n {
-                    let o = _mm256_loadu_ps(op.add(j));
-                    let b = _mm256_loadu_ps(b_row.add(j));
-                    _mm256_storeu_ps(op.add(j), _mm256_add_ps(o, _mm256_mul_ps(va, b)));
-                    j += 8;
-                }
-                while j < n {
-                    *op.add(j) += av * *b_row.add(j);
-                    j += 1;
-                }
+            });
+            for (v, &x) in acc.iter().enumerate() {
+                _mm512_mask_storeu_ps(out.add(v * W512), mask(v), x);
             }
         }
     }
 
-    /// AVX-512F `t_matmul` over a row chunk (16-lane inner loop, then the
-    /// scalar column tail).
+    /// The AVX2 form of [`saxpy_rows_avx512`]: column chunks of up to
+    /// eight 256-bit accumulators (64 columns), the last vector through
+    /// `maskload`/`maskstore`.
     ///
     /// # Safety
-    /// AVX-512F must be available (callers dispatch on runtime detection).
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn t_matmul_rows_avx512(
-        ad: &[f32],
-        kk: usize,
+    /// AVX2 must be available (callers dispatch on runtime detection).
+    /// Bounds are asserted as in [`saxpy_rows_avx512`].
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn saxpy_rows_avx2(
+        lhs: Strided<'_>,
         bd: &[f32],
         n: usize,
-        samples: usize,
         first_row: usize,
         out: &mut [f32],
         skip_zeros: bool,
@@ -1102,30 +1292,79 @@ mod x86 {
         if n == 0 {
             return;
         }
-        let rows_here = out.len() / n;
-        if rows_here == 0 {
-            return;
+        let rows = out.len() / n;
+        lhs.check(first_row, rows);
+        assert!(bd.len() >= lhs.terms * n, "saxpy: b holds too few rows");
+        let mut list: TermList = [(0, 0.0); BLOCK];
+        let mut j0 = 0;
+        while j0 < n {
+            let width = (n - j0).min(8 * W256);
+            let vectors = width.div_ceil(W256);
+            let tail_lanes = (width - (vectors - 1) * W256) as i32;
+            let tail = _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(tail_lanes),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            );
+            let (b, o) = (bd.as_ptr().add(j0), out.as_mut_ptr().add(j0));
+            let l = &mut list;
+            by_width!(
+                vectors,
+                cols_avx2(lhs, first_row, rows, b, n, o, tail, skip_zeros, l)
+            );
+            j0 += width;
         }
-        for r in 0..samples {
-            let a_seg = &ad[r * kk + first_row..r * kk + first_row + rows_here];
-            let b_row = bd.as_ptr().add(r * n);
-            for (k_local, &av) in a_seg.iter().enumerate() {
-                if skip_zeros && av == 0.0 {
-                    continue;
+    }
+
+    /// One column chunk of `V` 256-bit vectors of [`saxpy_rows_avx2`].
+    ///
+    /// # Safety
+    /// AVX2 must be available; bounds as in [`cols_avx512`], with 8-lane
+    /// vectors and `tail` a `maskload` mask (sign bit set per kept lane).
+    // lint: hot-path
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)] // one column chunk: pointers, dims, mask
+    unsafe fn cols_avx2<const V: usize>(
+        lhs: Strided<'_>,
+        first_row: usize,
+        rows: usize,
+        b: *const f32,
+        n: usize,
+        out: *mut f32,
+        tail: __m256i,
+        skip_zeros: bool,
+        list: &mut TermList,
+    ) {
+        let load = |p: *const f32, v: usize| {
+            if v + 1 == V {
+                _mm256_maskload_ps(p, tail)
+            } else {
+                _mm256_loadu_ps(p)
+            }
+        };
+        let first = lhs.terms.min(BLOCK);
+        for r in 0..rows {
+            let row = first_row + r;
+            let kept = keep_terms(lhs, row, 0, first, skip_zeros, list);
+            if kept == 0 && first == lhs.terms {
+                continue; // nothing to add: this row of `out` keeps its bits
+            }
+            let out = out.add(r * n);
+            let mut acc = [_mm256_setzero_ps(); V];
+            for (v, x) in acc.iter_mut().enumerate() {
+                *x = load(out.add(v * W256), v);
+            }
+            walk_terms(lhs, row, skip_zeros, list, kept, |t, a| {
+                let (bt, va) = (b.add(t * n), _mm256_set1_ps(a));
+                for (v, x) in acc.iter_mut().enumerate() {
+                    *x = _mm256_add_ps(*x, _mm256_mul_ps(va, load(bt.add(v * W256), v)));
                 }
-                let out_row = &mut out[k_local * n..k_local * n + n];
-                let op = out_row.as_mut_ptr();
-                let va = _mm512_set1_ps(av);
-                let mut j = 0;
-                while j + 16 <= n {
-                    let o = _mm512_loadu_ps(op.add(j));
-                    let b = _mm512_loadu_ps(b_row.add(j));
-                    _mm512_storeu_ps(op.add(j), _mm512_add_ps(o, _mm512_mul_ps(va, b)));
-                    j += 16;
-                }
-                while j < n {
-                    *op.add(j) += av * *b_row.add(j);
-                    j += 1;
+            });
+            for (v, &x) in acc.iter().enumerate() {
+                let p = out.add(v * W256);
+                if v + 1 == V {
+                    _mm256_maskstore_ps(p, tail, x);
+                } else {
+                    _mm256_storeu_ps(p, x);
                 }
             }
         }
@@ -1158,6 +1397,87 @@ mod tests {
                 g.to_bits(),
                 "{what}: element {i} differs ({w} vs {g})"
             );
+        }
+    }
+
+    /// Each explicit AVX2 and AVX-512F kernel called directly, whenever this
+    /// CPU has its ISA, against its blocked twin bit for bit: the dense tiles
+    /// against `matmul_rows`, the saxpy reading `A` as itself against
+    /// `matmul_rows_saxpy`, and reading `A` transposed against
+    /// `t_matmul_rows`, each on a row chunk that starts past row 0 and onto
+    /// a non-zero `out` holding `-0.0`s. Dispatch picks one ISA per CPU, so
+    /// without this the AVX2 kernels never run on an AVX-512 host.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn every_isa_kernel_matches_the_blocked_kernels() {
+        // SAFETY: the kernels behind these pointers need their ISA; one is
+        // pushed below only after runtime detection found it.
+        type Dense = unsafe fn(&[f32], usize, &[f32], usize, usize, &mut [f32], bool);
+        // SAFETY: as above.
+        type Saxpy = unsafe fn(Strided<'_>, &[f32], usize, usize, &mut [f32], bool);
+        let mut isas: Vec<(&str, Dense, Saxpy)> = Vec::new();
+        if std::arch::is_x86_feature_detected!("avx2") {
+            isas.push(("avx2", x86::matmul_rows_avx2, x86::saxpy_rows_avx2));
+        }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            isas.push(("avx512", x86::matmul_rows_avx512, x86::saxpy_rows_avx512));
+        }
+        let value = |i: usize| match i % 7 {
+            0 | 3 => 0.0,
+            5 => -0.0,
+            _ => (i % 13) as f32 * 0.37 - 2.1,
+        };
+        let (rows, first_row) = (5, 2);
+        for n in (1..=40).chain([63, 64, 65, 96, 127, 128, 129, 130, 200]) {
+            for kk in [1, 7, 64] {
+                let a: Vec<f32> = (0..(first_row + rows) * kk)
+                    .map(|i| value(i * 3 + n))
+                    .collect();
+                let mut b: Vec<f32> = (0..kk * n).map(|i| value(i + 1) + 0.5).collect();
+                let out0: Vec<f32> = (0..rows * n).map(|i| value(i + 2)).collect();
+                // `A` transposed: `samples × kk`, output rows `t_first ..`.
+                let samples = first_row + rows;
+                let t_first = kk / 3;
+                let t_out0: Vec<f32> = (0..(kk - t_first) * n).map(|i| value(i + 4)).collect();
+                let mut g: Vec<f32> = (0..samples * n).map(|i| value(i + 5) - 0.25).collect();
+                for finite in [true, false] {
+                    if !finite {
+                        b[(kk / 2) * n..(kk / 2 + 1) * n].fill(f32::NAN);
+                        g[n..2 * n].fill(f32::INFINITY);
+                    }
+                    let mut want_dense = out0.clone();
+                    matmul_rows(&a, kk, &b, n, first_row, &mut want_dense, finite);
+                    let mut want_saxpy = out0.clone();
+                    if finite {
+                        matmul_rows_saxpy(&a, kk, &b, n, first_row, &mut want_saxpy);
+                    }
+                    let mut want_t = t_out0.clone();
+                    t_matmul_rows(&a, kk, &g, n, samples, t_first, &mut want_t, finite);
+                    for &(isa, dense, saxpy) in &isas {
+                        let case = format!("{isa} n={n} kk={kk} finite={finite}");
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let mut got = out0.clone();
+                        // SAFETY: the ISA was detected above; the slices
+                        // hold rows `first_row ..` of `a` and a `kk × n` `b`.
+                        unsafe { dense(&a, kk, &b, n, first_row, &mut got, finite) };
+                        assert_eq!(bits(&want_dense), bits(&got), "dense tiles {case}");
+                        if finite {
+                            let mut got = out0.clone();
+                            let lhs = Strided::rows(&a, kk);
+                            // SAFETY: the ISA was detected above; the kernel
+                            // asserts its bounds.
+                            unsafe { saxpy(lhs, &b, n, first_row, &mut got, true) };
+                            assert_eq!(bits(&want_saxpy), bits(&got), "saxpy A·B {case}");
+                        }
+                        let mut got = t_out0.clone();
+                        let lhs = Strided::cols(&a, kk, samples);
+                        // SAFETY: the ISA was detected above; the kernel
+                        // asserts its bounds.
+                        unsafe { saxpy(lhs, &g, n, t_first, &mut got, finite) };
+                        assert_eq!(bits(&want_t), bits(&got), "saxpy Aᵀ·B {case}");
+                    }
+                }
+            }
         }
     }
 

@@ -25,6 +25,11 @@
 //! layer recovers throughput without giving up determinism: blocked and
 //! threaded products keep every output element's scalar accumulation order,
 //! so any thread count produces the same bits.
+//!
+//! All `unsafe` code lives in [`kernels`]; clippy checks that every unsafe
+//! block states why it is sound and every unsafe function its contract.
+
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 
 pub mod init;
 pub mod kernels;

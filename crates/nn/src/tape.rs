@@ -50,7 +50,7 @@ enum Op {
     Linear(usize, usize, usize, usize),
     /// [`Tape::pair_linear`]: `(parts with their row offsets into w, e, w,
     /// bias)`.
-    PairLinear(Vec<(usize, usize)>, usize, usize, usize),
+    PairLinear(Vec<(usize, usize)>, Option<usize>, usize, usize),
     /// [`Tape::block_dot`]: `(z, w, bias)`.
     BlockDot(usize, usize, usize),
     /// [`Tape::stack_col_blocks`]: `(a, width)`.
@@ -104,7 +104,7 @@ impl Op {
             | Op::MulCol(a, b) => f(*a) || f(*b),
             Op::Linear(x, w, b, _) | Op::BlockDot(x, w, b) => f(*x) || f(*w) || f(*b),
             Op::PairLinear(parts, e, w, b) => {
-                parts.iter().any(|&(p, _)| f(p)) || f(*e) || f(*w) || f(*b)
+                parts.iter().any(|&(p, _)| f(p)) || e.is_some_and(&f) || f(*w) || f(*b)
             }
             Op::HConcat(parents) => parents.iter().any(|&(p, _)| f(p)),
             Op::Scale(a, _)
@@ -228,6 +228,10 @@ pub struct Tape {
     /// to the scalar ones, so this changes wall clock, never results.
     par: Parallelism,
     spare: Spare,
+    /// Columns of `g · wᵀ` that backward computed for [`Tape::linear`] and
+    /// [`Tape::pair_linear`] inputs, so tests can see which it skipped.
+    #[cfg(test)]
+    input_grad_cols: usize,
 }
 
 impl Tape {
@@ -351,7 +355,10 @@ impl Tape {
     /// `[p₀ | p₁ | … | e_i] · w + bias` for every row `i` of `e` and every
     /// row `r` of the equally tall `parts`, stacked block-major: row `i·n + r`
     /// of the result pairs row `r` of the parts with `e_i`. `w` has one row
-    /// per part column, then one per `e` column; `bias` is `1 x m`.
+    /// per part column, then one per `e` column; `bias` is `1 x m`. Without
+    /// an `e` this is one block, `[p₀ | p₁ | …] · w + bias`: a
+    /// [`Tape::linear`] over the concatenated parts that needs no
+    /// concatenation.
     ///
     /// The parts' rows are multiplied once: each part adds its product into
     /// a shared `n`-row partial, in order, and every `(i, r)` accumulator
@@ -365,10 +372,12 @@ impl Tape {
     /// last block first; each part that needs a gradient the same block sum
     /// of its columns of `g · wᵀ`; and row `i` of `e` the column sums of
     /// block `i` of its columns of `g · wᵀ`. Columns of `g · wᵀ` that belong
-    /// to parts before the first one needing a gradient are never computed.
-    pub fn pair_linear(&mut self, parts: &[Var], e: Var, w: Var, bias: Var) -> Var {
+    /// to parts before the first one needing a gradient are never computed,
+    /// so a constant leading part (the features ahead of a learned latent)
+    /// costs no input gradient at all.
+    pub fn pair_linear(&mut self, parts: &[Var], e: Option<Var>, w: Var, bias: Var) -> Var {
         assert!(!parts.is_empty(), "pair_linear needs a part");
-        let (em, wm) = (&self.nodes[e.0].value, &self.nodes[w.0].value);
+        let wm = &self.nodes[w.0].value;
         let n = self.nodes[parts[0].0].value.rows();
         let mut rest = Weights::scan(wm);
         let mut partial = self.spare.zeros(n, wm.cols());
@@ -381,6 +390,12 @@ impl Tape {
             pm.matmul_acc_with(wp, &mut partial, self.par);
             rest = tail;
         }
+        let Some(e) = e else {
+            assert_eq!(rest.rows(), 0, "pair_linear: w has rows past the parts");
+            add_bias(&mut partial, &self.nodes[bias.0].value);
+            return self.push(partial, Op::PairLinear(offsets, None, w.0, bias.0));
+        };
+        let em = &self.nodes[e.0].value;
         assert_eq!(
             rest.rows(),
             em.cols(),
@@ -400,7 +415,7 @@ impl Tape {
         add_bias(&mut value, &self.nodes[bias.0].value);
         self.spare.put(e_rows);
         self.spare.put(partial);
-        self.push(value, Op::PairLinear(offsets, e.0, w.0, bias.0))
+        self.push(value, Op::PairLinear(offsets, Some(e.0), w.0, bias.0))
     }
 
     /// Row `r`, column `i` of the result is `z[i·n + r] · w[i] + bias[i]`:
@@ -706,6 +721,10 @@ impl Tape {
                         deltas.push((*b, db));
                     }
                     if need(*x) {
+                        #[cfg(test)]
+                        {
+                            self.input_grad_cols += wv.rows();
+                        }
                         let mut dx = spare.zeros(grad.rows(), wv.rows());
                         grad.matmul_t_into(wv, &mut dx, par);
                         deltas.push((*x, dx));
@@ -721,10 +740,10 @@ impl Tape {
                     spare.put(grad);
                 }
                 Op::PairLinear(parts, e, w, b) => {
-                    let (em, wm) = (&self.nodes[*e].value, &self.nodes[*w].value);
-                    let blocks = em.rows();
+                    let (em, wm) = (e.map(|e| &self.nodes[e].value), &self.nodes[*w].value);
+                    let blocks = em.map_or(1, Matrix::rows);
                     let n = grad.rows() / blocks;
-                    let e_at = wm.rows() - em.cols();
+                    let e_at = wm.rows() - em.map_or(0, Matrix::cols);
                     let block = |k: usize| grad.row_range(k * n..(k + 1) * n);
                     if need(*b) {
                         let db =
@@ -742,8 +761,10 @@ impl Tape {
                             }
                         }
                         let dw = sum_blocks_last_first(blocks, |k| {
-                            for r in 0..n {
-                                cat.row_mut(r)[e_at..].copy_from_slice(em.row(k));
+                            if let Some(em) = em {
+                                for r in 0..n {
+                                    cat.row_mut(r)[e_at..].copy_from_slice(em.row(k));
+                                }
                             }
                             t_matmul_slices(cat.as_slice(), cat.cols(), block(k), grad.cols(), par)
                         });
@@ -756,10 +777,14 @@ impl Tape {
                         .iter()
                         .find(|&&(p, _)| need(p))
                         .map(|&(_, at)| at)
-                        .or(need(*e).then_some(e_at));
+                        .or(e.is_some_and(need).then_some(e_at));
                     if let Some(first) = first {
                         let w_tail = wm.row_range(first..wm.rows()).to_vec();
                         let w_tail = Matrix::from_vec(wm.rows() - first, wm.cols(), w_tail);
+                        #[cfg(test)]
+                        {
+                            self.input_grad_cols += w_tail.rows();
+                        }
                         let mut gx = spare.zeros(grad.rows(), w_tail.rows());
                         grad.matmul_t_into(&w_tail, &mut gx, par);
                         for &(p, at) in parts.iter().filter(|&&(p, _)| need(p)) {
@@ -769,13 +794,13 @@ impl Tape {
                             });
                             deltas.push((p, dp));
                         }
-                        if need(*e) {
+                        if let Some((e, em)) = e.zip(em).filter(|&(e, _)| need(e)) {
                             let mut de = Matrix::zeros(blocks, em.cols());
                             for k in 0..blocks {
                                 let sums = gx.col_sums_of(k * n..(k + 1) * n);
                                 de.row_mut(k).copy_from_slice(&sums.row(0)[e_at - first..]);
                             }
-                            deltas.push((*e, de));
+                            deltas.push((e, de));
                         }
                         spare.put(gx);
                     }
@@ -1381,7 +1406,7 @@ mod tests {
         let build = |t: &mut Tape, s: &ParamStore| {
             let xv = t.input(x.clone());
             let (lv, ev, wv, bv) = (t.param(s, lat), t.param(s, e), t.param(s, w), t.param(s, b));
-            t.pair_linear(&[xv, lv], ev, wv, bv)
+            t.pair_linear(&[xv, lv], Some(ev), wv, bv)
         };
         check_params("pair_linear", &mut store, &[lat, e, w, b], |t, s| {
             let y = build(t, s);
@@ -1408,6 +1433,54 @@ mod tests {
             .iter()
             .zip(got.as_slice())
             .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    #[test]
+    fn pair_linear_without_e_is_linear_on_the_concatenation_and_skips_constant_parts() {
+        // CardNet-A's first layer: x′ = [x | latent] with `x` a constant.
+        let mut rng = rng::seeded(41);
+        let x = Matrix::from_fn(5, 3, |_, _| f32::from(u8::from(rng.gen_bool(0.5))));
+        let mut store = ParamStore::new();
+        let src = uniform(&mut store, "src", 5, 2, 42);
+        let w = uniform(&mut store, "w", 5, 4, 43);
+        let b = uniform(&mut store, "b", 1, 4, 44);
+        let build = |t: &mut Tape, s: &ParamStore, split: bool| {
+            let xv = t.input(x.clone());
+            let lat = t.param(s, src);
+            let lat = t.tanh(lat);
+            let (wv, bv) = (t.param(s, w), t.param(s, b));
+            if split {
+                t.pair_linear(&[xv, lat], None, wv, bv)
+            } else {
+                let cat = t.hconcat(&[xv, lat]);
+                t.linear(cat, wv, bv)
+            }
+        };
+        check_params("pair_linear without e", &mut store, &[src, w, b], |t, s| {
+            let y = build(t, s, true);
+            let sq = t.square(y);
+            t.mean_all(sq)
+        });
+        let run = |store: &mut ParamStore, split: bool| {
+            store.zero_grads();
+            let mut t = Tape::new();
+            let y = build(&mut t, store, split);
+            let sq = t.square(y);
+            let l = t.mean_all(sq);
+            t.backward(l, store);
+            let grads: Vec<Matrix> = [src, w, b].map(|id| store.grad(id).clone()).into();
+            (t.value(y).clone(), grads, t.input_grad_cols)
+        };
+        let (y_cat, g_cat, cols_cat) = run(&mut store, false);
+        let (y_split, g_split, cols_split) = run(&mut store, true);
+        // The concatenation's `g · wᵀ` spans x's 3 columns too; the split
+        // form computes only the latent's 2, and nothing else changes.
+        assert_eq!((cols_cat, cols_split), (5, 2));
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y_cat), bits(&y_split));
+        for (c, s) in g_cat.iter().zip(&g_split) {
+            assert_eq!(bits(c), bits(s));
+        }
     }
 
     #[test]

@@ -212,3 +212,58 @@ fn kernels_bit_identical_at_model_scale() {
         }
     }
 }
+
+/// Every output width from one lane to past one full chunk (128 columns
+/// of AVX-512 accumulators, 64 of AVX2), so every chunk width and masked
+/// tail of the register-resident saxpy kernel runs, at inner dimensions
+/// 1, 7 and 64. Two products per width, each against the scalar reference
+/// on both backends and under a 2-way row split (a chunk from row > 0):
+///
+/// * sparse-left `matmul_acc_with` split-K, as `Tape::pair_linear` calls
+///   it: `A₁·B₁` into a zeroed accumulator, then `A₂·B₂` onto that
+///   non-zero partial, against `[A₁ | A₂]·[B₁ ; B₂]`;
+/// * `t_matmul_with`, which reads its left operand transposed in place.
+///
+/// The operands mix exact and negative zeros into finite values, so the
+/// forward products mostly take the sparse-left arm; B is finite, or
+/// carries a NaN or ∞ row that turns the zero skip off for its product.
+#[test]
+fn saxpy_kernels_bit_identical_at_every_width() {
+    let (m, k1) = (5, 3);
+    let mut pars = Vec::new();
+    for backend in [KernelBackend::Blocked, KernelBackend::Simd] {
+        for t in [1, 2] {
+            let label = format!("{}/threads={t}", backend.label());
+            pars.push((label, Parallelism::exact_threads(t).with_backend(backend)));
+        }
+    }
+    for n in 1..=130usize {
+        for k in [1usize, 7, 64] {
+            let seed = (n * 1000 + k) as u64;
+            let a1 = matrix_from_seed(m, k1, seed, false);
+            let a2 = matrix_from_seed(m, k, seed + 1, false);
+            let at = matrix_from_seed(m, k, seed + 2, false);
+            let b1 = matrix_from_seed(k1, n, seed + 3, false);
+            let fills = [None, Some(f32::NAN), Some(f32::INFINITY)];
+            for fill in fills {
+                let mut b2 = matrix_from_seed(k, n, seed + 4, false);
+                let mut g = matrix_from_seed(m, n, seed + 5, false);
+                if let Some(v) = fill {
+                    b2.row_mut(k / 2).fill(v);
+                    g.row_mut(m / 2).fill(v);
+                }
+                let want = Matrix::hconcat(&[&a1, &a2]).matmul(&Matrix::vconcat(&[&b1, &b2]));
+                let want_t = at.t_matmul(&g);
+                for (label, par) in &pars {
+                    let mut acc = Matrix::zeros(m, n);
+                    a1.matmul_acc_with(Weights::scan(&b1), &mut acc, *par);
+                    a2.matmul_acc_with(Weights::scan(&b2), &mut acc, *par);
+                    let case = format!("n={n} k={k} row fill {fill:?} {label}");
+                    assert_bits_eq(&want, &acc, &format!("split-K matmul_acc {case}"));
+                    let got = at.t_matmul_with(&g, *par);
+                    assert_bits_eq(&want_t, &got, &format!("t_matmul {case}"));
+                }
+            }
+        }
+    }
+}
