@@ -330,7 +330,7 @@ mod tests {
 
     #[test]
     fn batched_dnn_matches_scalar_bitwise() {
-        // The stacked batch kernel (and its threaded variant) must agree
+        // The stacked batch kernel, on either pinned backend, must agree
         // with per-query `estimate` bit for bit — same contract as CardNet's
         // batch path, which is what lets the serve layer batch baselines too.
         let (ds, train_wl, test_wl) = setup();
@@ -352,14 +352,19 @@ mod tests {
             .collect();
         let prepared: Vec<PreparedQuery> = queries.iter().map(|q| dnn.prepare(q)).collect();
         let refs: Vec<&PreparedQuery> = prepared.iter().collect();
-        for threads in [1usize, 4] {
-            let batch = dnn.estimate_batch_par(&refs, &thetas, Parallelism::threads(threads));
+        for backend in [
+            cardest_nn::KernelBackend::Blocked,
+            cardest_nn::KernelBackend::Simd,
+        ] {
+            let par = Parallelism::serial().with_backend(backend);
+            let batch = dnn.estimate_batch_par(&refs, &thetas, par);
             for ((q, &theta), got) in queries.iter().zip(&thetas).zip(&batch) {
                 let want = dnn.estimate(q, theta);
                 assert_eq!(
                     got.value.to_bits(),
                     want.to_bits(),
-                    "threads={threads} θ={theta}: {} vs {want}",
+                    "{} θ={theta}: {} vs {want}",
+                    backend.label(),
                     got.value
                 );
             }

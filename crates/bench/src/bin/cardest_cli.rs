@@ -46,22 +46,14 @@ use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, flags)) = parse(&args) else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let result = match cmd.as_str() {
-        "gen" => cmd_gen(&flags),
-        "train" => cmd_train(&flags),
-        "estimate" => cmd_estimate(&flags),
-        "serve" => cmd_serve(&flags),
-        "stats" => cmd_stats(&flags),
-        _ => {
-            eprintln!("unknown command `{cmd}`\n{USAGE}");
+    let (run, flags) = match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    match result {
+    match run(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -73,16 +65,13 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   cardest_cli gen      --kind <hm|ed|jc|eu> --n <records> [--seed <u64>] --out <file>
   cardest_cli train    --data <file> --model <file> [--accelerated] [--epochs <n>] [--tau-max <n>]
-                       [--threads <n kernel workers; 0 = all cores>]
                        [--kernel-backend <blocked|simd|auto>]
   cardest_cli estimate --data <file> --model <file> --query <record-index> --theta <f64> [--curve]
-                       [--threads <n kernel workers; 0 = all cores>]
                        [--kernel-backend <blocked|simd|auto>]
   cardest_cli estimate --data <file> --model <file> --queries <file with `<index> <theta>` lines>
   cardest_cli serve    --data <file> --model <file> [--workers <n>] [--batch-max <n>]
                        [--batch-window-us <n>] [--cache <entries>] [--bound-tolerance <f64>]
                        [--cache-curve-points <n>] [--pipeline <n outstanding>]
-                       [--kernel-threads <n per micro-batch>]
                        [--kernel-backend <blocked|simd|auto>]
                        [--listen [ADDR]] [--max-conns <n; 0 = unlimited>]
                        [--queue-limit <in-flight requests; 0 = unbounded>]
@@ -98,21 +87,56 @@ const USAGE: &str = "usage:
                        [--index-range <loadgen query indices, default 1>]
                        [--theta <loadgen threshold, default 4>]
 
-Thread counts and kernel backends only change wall clock: both kernel tiers
-(blocked, explicit SIMD) are bit-identical, so estimates and trained weights
-never depend on them. Without --kernel-backend the process default
+Kernel backends only change wall clock: both kernel tiers (blocked,
+explicit SIMD) are bit-identical, so estimates and trained weights never
+depend on them. Without --kernel-backend the process default
 applies: the CARDEST_KERNEL_BACKEND env var if set, else the best the CPU
 supports (AVX-512 → AVX2 → blocked).";
 
 type Flags = HashMap<String, String>;
+type Command = fn(&Flags) -> Result<(), String>;
 
-fn parse(args: &[String]) -> Option<(String, Flags)> {
+/// Every subcommand, its handler, and the flags its USAGE lines list.
+const COMMANDS: [(&str, Command, &str); 5] = [
+    ("gen", cmd_gen, "kind n seed out"),
+    (
+        "train",
+        cmd_train,
+        "data model accelerated epochs tau-max kernel-backend",
+    ),
+    (
+        "estimate",
+        cmd_estimate,
+        "data model query theta curve queries kernel-backend",
+    ),
+    (
+        "serve",
+        cmd_serve,
+        "data model workers batch-max batch-window-us cache bound-tolerance \
+         cache-curve-points pipeline kernel-backend listen max-conns queue-limit \
+         deadline-ms client-quota frame-timeout-ms idle-timeout-ms metrics-addr \
+         no-tracing trace-sample slow-threshold-ms",
+    ),
+    ("stats", cmd_stats, "data connect loadgen index-range theta"),
+];
+
+/// Splits `<command> --flag [value] ...` into the command's handler and its
+/// flags. A flag the command does not list is an error, so a typo or a
+/// retired flag never runs with its value silently ignored.
+fn parse(args: &[String]) -> Result<(Command, Flags), String> {
     let mut it = args.iter();
-    let cmd = it.next()?.clone();
+    let cmd = it.next().ok_or("missing command")?;
+    let &(_, run, accepted) = COMMANDS
+        .iter()
+        .find(|(name, ..)| name == cmd)
+        .ok_or_else(|| format!("unknown command `{cmd}`"))?;
     let mut flags = HashMap::new();
     let mut key: Option<String> = None;
     for a in it {
         if let Some(stripped) = a.strip_prefix("--") {
+            if !accepted.split(' ').any(|f| f == stripped) {
+                return Err(format!("unknown flag --{stripped}"));
+            }
             // Bare flags (e.g. --accelerated) read as "true".
             if let Some(k) = key.take() {
                 flags.insert(k, "true".to_string());
@@ -121,13 +145,14 @@ fn parse(args: &[String]) -> Option<(String, Flags)> {
         } else if let Some(k) = key.take() {
             flags.insert(k, a.clone());
         } else {
-            return None; // positional arguments are not part of the grammar
+            // Positional arguments are not part of the grammar.
+            return Err(format!("unexpected argument `{a}`"));
         }
     }
     if let Some(k) = key.take() {
         flags.insert(k, "true".to_string());
     }
-    Some((cmd, flags))
+    Ok((run, flags))
 }
 
 fn required<'a>(flags: &'a Flags, name: &str) -> Result<&'a str, String> {
@@ -176,7 +201,6 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     let accelerated = flags.contains_key("accelerated");
     let epochs: usize = parsed(flags, "epochs", 56)?;
     let tau_max: usize = parsed(flags, "tau-max", 16)?;
-    let threads = kernel_threads_flag(flags, "threads")?;
 
     let wl = Workload::sample_from(&ds, 0.10, 12, 7);
     let split = wl.split(13);
@@ -187,7 +211,6 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     }
     let opts = TrainerOptions {
         epochs,
-        threads,
         kernel_backend: kernel_backend_flag(flags)?,
         ..TrainerOptions::default()
     };
@@ -216,18 +239,8 @@ fn load_estimator(flags: &Flags) -> Result<(Dataset, CardNetEstimator), String> 
     // deterministic, and `into_estimator` rejects any mismatch.
     let fx = build_extractor(&ds, snap.tau_max, 1);
     let mut est = snap.into_estimator(fx).map_err(|e| e.to_string())?;
-    est.set_parallelism(kernel_parallelism_flags(flags, "threads")?);
+    est.set_parallelism(Parallelism::serial().with_backend_opt(kernel_backend_flag(flags)?));
     Ok((ds, est))
-}
-
-/// Reads a worker-count flag; `0` means "one per hardware thread".
-fn kernel_threads_flag(flags: &Flags, name: &str) -> Result<usize, String> {
-    let n: usize = parsed(flags, name, 1)?;
-    Ok(if n == 0 {
-        Parallelism::auto().thread_count()
-    } else {
-        n
-    })
 }
 
 /// Reads `--kernel-backend`; absent means "process default" (the
@@ -240,14 +253,6 @@ fn kernel_backend_flag(flags: &Flags) -> Result<Option<KernelBackend>, String> {
             format!("--kernel-backend: `{v}` not recognized (want blocked|simd|auto)")
         }),
     }
-}
-
-/// The kernel budget from `--threads`-style and `--kernel-backend` flags.
-fn kernel_parallelism_flags(flags: &Flags, threads_flag: &str) -> Result<Parallelism, String> {
-    Ok(
-        Parallelism::threads(kernel_threads_flag(flags, threads_flag)?)
-            .with_backend_opt(kernel_backend_flag(flags)?),
-    )
 }
 
 /// Parses one `<record-index> <theta>` request line.
@@ -283,7 +288,7 @@ fn serve_config_from_flags(flags: &Flags) -> Result<ServeConfig, String> {
         cache_capacity: parsed(flags, "cache", defaults.cache_capacity)?,
         bound_tolerance: parsed(flags, "bound-tolerance", 0.0)?,
         cache_curve_points: parsed(flags, "cache-curve-points", 0usize)?,
-        kernel_threads: kernel_threads_flag(flags, "kernel-threads")?,
+        kernel_threads: defaults.kernel_threads,
         kernel_backend: kernel_backend_flag(flags)?,
         tracing: !flags.contains_key("no-tracing"),
         trace_sample: parsed(flags, "trace-sample", defaults.trace_sample)?,
@@ -673,4 +678,67 @@ fn cmd_stats_remote(flags: &Flags) -> Result<(), String> {
     }
     eprintln!("counters reconcile with client-side observations");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn rejects(line: &str, flag: &str) {
+        match parse(&args(line)) {
+            Err(e) => assert_eq!(e, format!("unknown flag --{flag}"), "`{line}`"),
+            Ok(_) => panic!("`{line}` parsed"),
+        }
+    }
+
+    #[test]
+    fn removed_thread_flags_are_rejected() {
+        rejects("train --data d.jsonl --model m.json --threads 2", "threads");
+        rejects("estimate --data d --query 1 --threads 4", "threads");
+        rejects("serve --data d --kernel-threads 2", "kernel-threads");
+    }
+
+    #[test]
+    fn misspelled_flags_are_rejected() {
+        rejects("estimate --kernel-backnd simd --data d", "kernel-backnd");
+        rejects("serve --worker 2", "worker");
+        // A flag of another subcommand is unknown here too.
+        rejects("gen --kind hm --listen", "listen");
+        assert!(parse(&args("gen --kind hm stray")).is_err());
+        assert!(parse(&args("frobnicate --data d")).is_err());
+    }
+
+    /// Every `--flag` on a subcommand's USAGE lines parses for that
+    /// subcommand, and every flag a subcommand accepts is on its lines.
+    #[test]
+    fn every_usage_flag_is_accepted() {
+        let mut documented: HashMap<&str, Vec<&str>> = HashMap::new();
+        let mut cmd = "";
+        for line in USAGE.lines() {
+            let mut words = line.split_whitespace();
+            if words.next() == Some("cardest_cli") {
+                cmd = words.next().expect("a subcommand after cardest_cli");
+            } else if !line.starts_with(' ') {
+                cmd = ""; // the prose after the synopsis
+            }
+            for word in line.split_whitespace().filter(|_| !cmd.is_empty()) {
+                if let Some(flag) = word.trim_start_matches('[').strip_prefix("--") {
+                    let flag = flag.trim_end_matches(']');
+                    documented.entry(cmd).or_default().push(flag);
+                    let parsed = parse(&args(&format!("{cmd} --{flag} x")));
+                    assert!(parsed.is_ok(), "{cmd} --{flag}: {:?}", parsed.err());
+                }
+            }
+        }
+        for (cmd, _, accepted) in COMMANDS {
+            let listed = documented.get(cmd).cloned().unwrap_or_default();
+            for flag in accepted.split(' ') {
+                assert!(listed.contains(&flag), "{cmd} --{flag} is not in USAGE");
+            }
+        }
+    }
 }

@@ -367,13 +367,12 @@ pub trait CardinalityEstimator: Send + Sync {
             .collect()
     }
 
-    /// [`CardinalityEstimator::estimate_batch`] with a kernel budget: a
-    /// worker-count hint plus an optionally pinned
+    /// [`CardinalityEstimator::estimate_batch`] with an optionally pinned
     /// [`cardest_nn::KernelBackend`]. Estimators whose batched kernel can
-    /// exploit it (bit-identically) override this; the default ignores the
-    /// hint — correct for every estimator, since threading and backend
-    /// choice are optimizations, never semantics. The serve worker pool
-    /// plumbs `ServeConfig::kernel_parallelism()` through here.
+    /// use it (bit-identically) override this; the default ignores the
+    /// pin — correct for every estimator, since the backend choice is an
+    /// optimization, never semantics. The serve worker pool plumbs
+    /// `ServeConfig::kernel_parallelism()` through here.
     fn estimate_batch_par(
         &self,
         prepared: &[&PreparedQuery],
@@ -384,7 +383,7 @@ pub trait CardinalityEstimator: Send + Sync {
         self.estimate_batch(prepared, thetas)
     }
 
-    /// [`CardinalityEstimator::curve_batch`] with a kernel budget
+    /// [`CardinalityEstimator::curve_batch`] with a kernel backend pin
     /// (see [`CardinalityEstimator::estimate_batch_par`]).
     fn curve_batch_par(
         &self,
@@ -449,8 +448,8 @@ pub struct CardNetEstimator {
     source: Arc<str>,
     /// Owner id for encoder state cached inside [`PreparedQuery`].
     prep_id: u64,
-    /// Kernel worker budget for the encoder/batch paths. Threaded kernels
-    /// are bit-identical to the scalar ones, so this is a throughput knob
+    /// Kernel backend pin for the encoder/batch paths. Every backend is
+    /// bit-identical to the scalar kernels, so this is a throughput knob
     /// with no effect on estimates.
     par: Parallelism,
 }
@@ -476,19 +475,19 @@ impl CardNetEstimator {
         }
     }
 
-    /// Sets the kernel worker budget for the encoder/batch paths (builder
+    /// Sets the kernel backend pin for the encoder/batch paths (builder
     /// form). Estimates are bit-identical for any setting.
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.par = par;
         self
     }
 
-    /// Sets the kernel worker budget in place.
+    /// Sets the kernel backend pin in place.
     pub fn set_parallelism(&mut self, par: Parallelism) {
         self.par = par;
     }
 
-    /// The configured kernel worker budget.
+    /// The configured kernel backend pin.
     pub fn parallelism(&self) -> Parallelism {
         self.par
     }
@@ -718,7 +717,7 @@ impl CardinalityEstimator for CardNetEstimator {
         self.estimate_batch_impl(prepared, thetas, self.par)
     }
 
-    /// The batched kernel with an extra worker/backend budget (still
+    /// The batched kernel with a per-call backend pin (still
     /// bit-identical): the serving worker pool plumbs
     /// `ServeConfig::kernel_parallelism()` here.
     fn estimate_batch_par(
@@ -729,8 +728,7 @@ impl CardinalityEstimator for CardNetEstimator {
     ) -> Vec<Estimate> {
         // Caller first: `Parallelism::max` keeps the left side's backend
         // pin, so a per-call override (e.g. `ServeConfig::kernel_backend`)
-        // beats the estimator's own setting; thread counts still merge by
-        // maximum either way.
+        // beats the estimator's own setting.
         self.estimate_batch_impl(prepared, thetas, par.max(self.par))
     }
 
@@ -950,9 +948,9 @@ mod tests {
     }
 
     #[test]
-    fn threaded_estimator_is_bit_identical_to_serial() {
-        // An estimator configured for threaded kernels must serve the exact
-        // bits of the serial one: estimate, curve (via the fan-out encoder),
+    fn pinned_estimator_is_bit_identical_across_backends() {
+        // An estimator pinned to either kernel backend must serve the exact
+        // bits of the unpinned one: estimate, curve (through the encoder),
         // and both batch kernels.
         let (mut est, ds) = trained(false);
         let queries: Vec<_> = (0..10).map(|i| ds.records[i * 9].clone()).collect();
@@ -963,41 +961,36 @@ mod tests {
         let serial_curves = est.curve_batch(&refs);
         let serial_curve = est.curve(&est.prepare(&queries[0]), ds.theta_max);
 
-        est.set_parallelism(Parallelism::exact_threads(3));
-        assert_eq!(est.parallelism(), Parallelism::exact_threads(3));
-        let batch = est.estimate_batch(&refs, &thetas);
-        for (a, b) in serial_batch.iter().zip(&batch) {
-            assert_eq!(a.value.to_bits(), b.value.to_bits());
-        }
-        let curves = est.curve_batch(&refs);
-        for (a, b) in serial_curves.iter().zip(&curves) {
-            for (x, y) in a.values().iter().zip(b.values()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        // A fresh prepared query so the encoder state is recomputed under
-        // the threaded fan-out.
-        let curve = est.curve(&est.prepare(&queries[0]), ds.theta_max);
-        for (x, y) in serial_curve.values().iter().zip(curve.values()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // The trait-level kernel budget is also bit-stable — across worker
-        // hints and pinned backends alike.
-        let hinted = est.estimate_batch_par(&refs, &thetas, Parallelism::threads(4));
-        for (a, b) in serial_batch.iter().zip(&hinted) {
-            assert_eq!(a.value.to_bits(), b.value.to_bits());
-        }
         for backend in [
             cardest_nn::KernelBackend::Blocked,
             cardest_nn::KernelBackend::Simd,
         ] {
-            let pinned = est.estimate_batch_par(
-                &refs,
-                &thetas,
-                Parallelism::threads(2).with_backend(backend),
-            );
+            let pin = Parallelism::serial().with_backend(backend);
+            let what = backend.label();
+            // The trait-level pin, on the unpinned estimator.
+            est.set_parallelism(Parallelism::serial());
+            let pinned = est.estimate_batch_par(&refs, &thetas, pin);
             for (a, b) in serial_batch.iter().zip(&pinned) {
-                assert_eq!(a.value.to_bits(), b.value.to_bits(), "{}", backend.label());
+                assert_eq!(a.value.to_bits(), b.value.to_bits(), "{what} per call");
+            }
+            // The estimator's own pin.
+            est.set_parallelism(pin);
+            assert_eq!(est.parallelism(), pin);
+            let batch = est.estimate_batch(&refs, &thetas);
+            for (a, b) in serial_batch.iter().zip(&batch) {
+                assert_eq!(a.value.to_bits(), b.value.to_bits(), "{what}");
+            }
+            let curves = est.curve_batch(&refs);
+            for (a, b) in serial_curves.iter().zip(&curves) {
+                for (x, y) in a.values().iter().zip(b.values()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{what} curve_batch");
+                }
+            }
+            // A fresh prepared query so the encoder state is recomputed on
+            // the pinned backend.
+            let curve = est.curve(&est.prepare(&queries[0]), ds.theta_max);
+            for (x, y) in serial_curve.values().iter().zip(curve.values()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what} curve");
             }
         }
     }

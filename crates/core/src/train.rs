@@ -38,14 +38,11 @@ pub struct TrainerOptions {
     pub seed: u64,
     /// Disables the dynamic ω updates (ablation −dynamic: pure MSLE).
     pub dynamic: bool,
-    /// Worker threads for the minibatch forward/backward kernels (1 =
-    /// serial). Threaded kernels are bit-identical to the scalar path, so
-    /// this changes training wall clock, never the trained parameters.
-    pub threads: usize,
     /// Pinned compute-kernel backend for the forward/backward products;
     /// `None` resolves [`cardest_nn::KernelBackend::default_backend`]
     /// (env override, else best the CPU supports). Every backend is
-    /// bit-identical, so this too can never change the trained parameters.
+    /// bit-identical, so this changes training wall clock, never the
+    /// trained parameters.
     pub kernel_backend: Option<cardest_nn::KernelBackend>,
 }
 
@@ -62,7 +59,6 @@ impl Default for TrainerOptions {
             patience: 6,
             seed: 0xC0DE,
             dynamic: true,
-            threads: 1,
             kernel_backend: None,
         }
     }
@@ -135,10 +131,9 @@ impl Trainer {
         }
     }
 
-    /// The kernel budget derived from [`TrainerOptions::threads`] and
-    /// [`TrainerOptions::kernel_backend`].
+    /// The kernel config derived from [`TrainerOptions::kernel_backend`].
     pub fn kernel_parallelism(&self) -> Parallelism {
-        Parallelism::threads(self.options.threads).with_backend_opt(self.options.kernel_backend)
+        Parallelism::serial().with_backend_opt(self.options.kernel_backend)
     }
 
     /// Pre-trains the VAE unsupervised on the binary representations
@@ -466,13 +461,11 @@ mod tests {
         }
     }
 
-    /// Serial and threaded training give the same weights, bit for bit:
-    /// two CardNet steps (forward, backward, Adam) on tapes pinned to each
-    /// backend × 1, 2 and 3 forced workers. `exact_threads`, because under
-    /// the `Parallelism::threads` hint a 64-row minibatch stays below the
-    /// per-thread work floor and never splits.
+    /// Every kernel backend trains the same weights, bit for bit: two
+    /// CardNet steps (forward, backward, Adam) on tapes pinned to each
+    /// backend, against an unpinned tape.
     #[test]
-    fn training_steps_are_bit_identical_across_backends_and_threads() {
+    fn training_steps_are_bit_identical_across_backends() {
         let (fx, train_wl, _) = small_setup();
         let data = prepare_tensors(&train_wl, fx.as_ref());
         let batch = data.batch(&(0..64).collect::<Vec<_>>());
@@ -497,17 +490,15 @@ mod tests {
         };
         let want = train(Parallelism::serial());
         for backend in [KernelBackend::Blocked, KernelBackend::Simd] {
-            for t in [1, 2, 3] {
-                let got = train(Parallelism::exact_threads(t).with_backend(backend));
-                for id in want.ids() {
-                    let (w, g) = (want.value(id).as_slice(), got.value(id).as_slice());
-                    assert!(
-                        w.iter().zip(g).all(|(w, g)| w.to_bits() == g.to_bits()),
-                        "{} differs under {}/threads={t}",
-                        want.name(id),
-                        backend.label()
-                    );
-                }
+            let got = train(Parallelism::serial().with_backend(backend));
+            for id in want.ids() {
+                let (w, g) = (want.value(id).as_slice(), got.value(id).as_slice());
+                assert!(
+                    w.iter().zip(g).all(|(w, g)| w.to_bits() == g.to_bits()),
+                    "{} differs under {}",
+                    want.name(id),
+                    backend.label()
+                );
             }
         }
     }

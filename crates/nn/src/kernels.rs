@@ -1,5 +1,5 @@
-//! Cache-blocked and multi-threaded compute kernels, **bit-identical** to the
-//! reference loops in [`crate::matrix`] by construction.
+//! Cache-blocked and explicit-SIMD compute kernels, **bit-identical** to
+//! the reference loops in [`crate::matrix`] by construction.
 //!
 //! Every model in this workspace funnels through three matrix products:
 //! `matmul` (forward layers), `t_matmul` (weight gradients), and `matmul_t`
@@ -16,11 +16,6 @@
 //!   (binary features, post-ReLU activations) and `t_matmul` take the
 //!   reference's own saxpy order instead, whose zero skip drops whole rows
 //!   of work;
-//! * the *threaded* kernels partition **output rows** across
-//!   `std::thread::scope` workers; every element is still computed by the
-//!   same blocked code on one thread, so the result is independent of the
-//!   worker count.
-//!
 //! * the *SIMD* kernels ([`KernelBackend::Simd`]) run the same orders through
 //!   explicit `core::arch` AVX2 / AVX-512F intrinsics behind runtime feature
 //!   detection. Vector **lanes are output columns**, never partial sums of
@@ -43,19 +38,16 @@
 //! Floating-point addition is deterministic for a fixed operand order, so
 //! "same per-element order" ⇒ "same bits" — for finite values, signed zeros,
 //! and NaN/∞ alike. The property tests in `tests/kernel_identity.rs` pin this
-//! across backends × thread counts (including non-finite inputs and the
-//! model's own shapes), and `cardest-core`'s trainer tests pin the weights
-//! that serial and threaded training steps produce.
+//! across backends (including non-finite inputs and the model's own shapes),
+//! and `cardest-core`'s trainer tests pin the weights that training steps on
+//! each backend produce.
 //!
-//! [`Parallelism`] is the knob the rest of the system plumbs through
-//! (trainer minibatches, CardNet batch estimation, the serve worker pool,
-//! `report::evaluate`): a worker-count hint that the kernels clamp by the
-//! number of output rows and by a minimum useful work size, so callers can
-//! pass one config everywhere without tiny products paying thread-spawn
-//! overhead — plus an optional pinned [`KernelBackend`]. Unpinned configs
-//! resolve the backend once per process: the `CARDEST_KERNEL_BACKEND` env
-//! var (`blocked` | `simd` | `auto`) if set, else the best the CPU
-//! supports.
+//! Every product runs on the calling thread. [`Parallelism`] is the config
+//! the rest of the system plumbs through (trainer minibatches, CardNet batch
+//! estimation, the serve worker pool): an optional pinned [`KernelBackend`].
+//! Unpinned configs resolve the backend once per process: the
+//! `CARDEST_KERNEL_BACKEND` env var (`blocked` | `simd` | `auto`) if set,
+//! else the best the CPU supports.
 
 use crate::matrix::{scan_finite, Matrix, Weights};
 use std::sync::OnceLock;
@@ -164,82 +156,25 @@ const MR: usize = 4;
 /// vectors — fixed width so the inner loops vectorize).
 const NR: usize = 16;
 
-/// Minimum multiply-adds a worker thread must have before the kernels spawn
-/// it. The kernels run at tens of GFLOP/s, so 4M MACs ≈ 100–200 µs of work —
-/// comfortably above a `thread::scope` spawn+join (~20 µs), which keeps
-/// threading from ever losing to its own overhead on small products.
-/// Callers that need fine-grained parallelism regardless (tests, coarse
-/// per-row fan-outs that amortize one spawn over many kernel calls) use
-/// [`Parallelism::exact_threads`] or partition above the kernel layer.
-const MIN_WORK_PER_THREAD: usize = 4_000_000;
-
-/// How many worker threads the compute kernels may use, and optionally
-/// which [`KernelBackend`] they run.
+/// Which [`KernelBackend`] the compute kernels run: an optional pin.
 ///
-/// A `Parallelism` is a *hint*: kernels clamp it by the number of output rows
-/// (each row is computed entirely by one worker — that is what makes the
-/// result bit-identical) and, unless constructed with
-/// [`Parallelism::exact_threads`], by a minimum-work-per-thread threshold so
-/// small products stay serial. The backend is `None` by default, meaning
-/// "resolve [`KernelBackend::default_backend`] at dispatch" — pin one with
-/// [`Parallelism::with_backend`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The backend is `None` by default, meaning "resolve
+/// [`KernelBackend::default_backend`] at dispatch" — pin one with
+/// [`Parallelism::with_backend`]. Every backend is bit-identical, so the
+/// pin is a throughput choice.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Parallelism {
-    threads: usize,
-    /// Skip the minimum-work clamp (tests and micro-benchmarks).
-    force: bool,
     /// Pinned kernel tier; `None` defers to the process-wide default.
     backend: Option<KernelBackend>,
 }
 
-impl Default for Parallelism {
-    fn default() -> Self {
-        Parallelism::serial()
-    }
-}
-
 impl Parallelism {
-    /// Single-threaded (the default everywhere).
+    /// No pinned backend (the default everywhere).
     pub const fn serial() -> Parallelism {
-        Parallelism {
-            threads: 1,
-            force: false,
-            backend: None,
-        }
+        Parallelism { backend: None }
     }
 
-    /// At most `n` worker threads (`0` is treated as `1`).
-    pub fn threads(n: usize) -> Parallelism {
-        Parallelism {
-            threads: n.max(1),
-            force: false,
-            backend: None,
-        }
-    }
-
-    /// One worker per available hardware thread.
-    pub fn auto() -> Parallelism {
-        Parallelism::threads(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
-    }
-
-    /// Exactly `n` workers whenever the shape allows it, ignoring the
-    /// minimum-work clamp. Meant for tests and benchmarks that must exercise
-    /// the threaded path on small inputs; production callers want
-    /// [`Parallelism::threads`].
-    pub fn exact_threads(n: usize) -> Parallelism {
-        Parallelism {
-            threads: n.max(1),
-            force: true,
-            backend: None,
-        }
-    }
-
-    /// Pins the kernel backend (builder form). Every backend is
-    /// bit-identical, so this is a throughput knob like the thread count.
+    /// Pins the kernel backend (builder form).
     pub const fn with_backend(mut self, backend: KernelBackend) -> Parallelism {
         self.backend = Some(backend);
         self
@@ -268,88 +203,19 @@ impl Parallelism {
         self.backend
     }
 
-    /// A one-thread copy that keeps the pinned backend — what coarse row
-    /// fan-outs hand to the kernels inside each worker.
-    pub fn serial_worker(&self) -> Parallelism {
-        Parallelism {
-            threads: 1,
-            force: false,
-            backend: self.backend,
-        }
-    }
-
-    /// The configured worker-count hint.
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
-    }
-
-    /// The larger of two hints (config merging: an estimator's own setting
-    /// vs. a per-call override). A backend pinned on `self` wins over one
-    /// pinned on `other`; either wins over "resolve the default".
+    /// Config merging (a per-call override vs. an estimator's own setting):
+    /// a backend pinned on `self` wins over one pinned on `other`; either
+    /// wins over "resolve the default".
     pub fn max(self, other: Parallelism) -> Parallelism {
         Parallelism {
-            threads: self.threads.max(other.threads),
-            force: self.force || other.force,
             backend: self.backend.or(other.backend),
         }
     }
-
-    /// Effective worker count for `tasks` independent tasks totalling `work`
-    /// multiply-adds: the hint, clamped by the task count and (unless
-    /// constructed with [`Parallelism::exact_threads`]) by the minimum
-    /// useful work per thread.
-    pub fn workers(&self, tasks: usize, work: usize) -> usize {
-        let cap = if self.force {
-            tasks
-        } else {
-            tasks.min((work / MIN_WORK_PER_THREAD).max(1))
-        };
-        self.threads.min(cap)
-    }
-}
-
-/// Partitions a row-major buffer of `row_len`-wide rows into contiguous row
-/// ranges and runs `task(first_row, row_chunk)` on each — on the calling
-/// thread when `workers <= 1`, else across `std::thread::scope` workers (the
-/// calling thread takes the first chunk instead of idling).
-///
-/// Each row is handed to exactly one worker running the serial code, which
-/// is what keeps the threaded kernels bit-identical to their serial order.
-fn partition_rows<F>(out: &mut [f32], row_len: usize, workers: usize, task: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    if row_len == 0 || out.is_empty() {
-        task(0, out);
-        return;
-    }
-    let rows = out.len() / row_len;
-    let workers = workers.clamp(1, rows.max(1));
-    if workers <= 1 {
-        task(0, out);
-        return;
-    }
-    let chunk_rows = rows.div_ceil(workers);
-    let mut chunks = out.chunks_mut(chunk_rows * row_len).enumerate();
-    let first = chunks.next();
-    std::thread::scope(|s| {
-        for (t, chunk) in chunks {
-            let task = &task;
-            s.spawn(move || task(t * chunk_rows, chunk));
-        }
-        if let Some((t, chunk)) = first {
-            task(t * chunk_rows, chunk);
-        }
-    });
 }
 
 impl Matrix {
-    /// `self @ other` through the blocked (and, when `par` allows, threaded)
-    /// kernel. Bit-identical to [`Matrix::matmul`] for every input.
+    /// `self @ other` through the kernel backend `par` selects.
+    /// Bit-identical to [`Matrix::matmul`] for every input.
     ///
     /// `other` is a [`Weights`]: a `&Matrix` converts through
     /// [`Weights::scan`], so it is scanned for finiteness on every call,
@@ -406,27 +272,23 @@ impl Matrix {
             let nonzero = self.as_slice().iter().filter(|&&v| v != 0.0).count();
             4 * nonzero < 3 * self.len().max(1)
         };
-        let work = self.rows() * k * n;
-        let workers = par.workers(self.rows(), work);
-        partition_rows(acc.as_mut_slice(), n, workers, |first_row, chunk| {
-            let ad = self.as_slice();
-            if sparse_left {
-                let simd = backend == KernelBackend::Simd
-                    && saxpy_rows_simd(Strided::rows(ad, k), b, n, first_row, chunk, true);
-                if !simd {
-                    matmul_rows_saxpy(ad, k, b, n, first_row, chunk);
-                }
-                return;
+        let (ad, out) = (self.as_slice(), acc.as_mut_slice());
+        if sparse_left {
+            let simd = backend == KernelBackend::Simd
+                && saxpy_rows_simd(Strided::rows(ad, k), b, n, out, true);
+            if !simd {
+                matmul_rows_saxpy(ad, k, b, n, out);
             }
-            match backend {
-                KernelBackend::Blocked => matmul_rows(ad, k, b, n, first_row, chunk, skip_zeros),
-                KernelBackend::Simd => matmul_rows_simd(ad, k, b, n, first_row, chunk, skip_zeros),
-            }
-        });
+            return;
+        }
+        match backend {
+            KernelBackend::Blocked => matmul_rows(ad, k, b, n, out, skip_zeros),
+            KernelBackend::Simd => matmul_rows_simd(ad, k, b, n, out, skip_zeros),
+        }
     }
 
-    /// `selfᵀ @ other` through the row-partitioned kernel. Bit-identical to
-    /// [`Matrix::t_matmul`] for every input.
+    /// `selfᵀ @ other` through the kernel backend `par` selects.
+    /// Bit-identical to [`Matrix::t_matmul`] for every input.
     pub fn t_matmul_with(&self, other: &Matrix, par: Parallelism) -> Matrix {
         assert_eq!(self.rows(), other.rows(), "t_matmul shape mismatch");
         t_matmul_slices(
@@ -438,8 +300,8 @@ impl Matrix {
         )
     }
 
-    /// `self @ otherᵀ` through the blocked/threaded kernel. Bit-identical to
-    /// [`Matrix::matmul_t`] for every input.
+    /// `self @ otherᵀ` through the kernel backend `par` selects.
+    /// Bit-identical to [`Matrix::matmul_t`] for every input.
     pub fn matmul_t_with(&self, other: &Matrix, par: Parallelism) -> Matrix {
         let mut out = Matrix::zeros(self.rows(), other.rows());
         self.matmul_t_into(other, &mut out, par);
@@ -457,39 +319,23 @@ impl Matrix {
         );
         let n = other.rows();
         let k = self.cols();
-        let backend = par.backend();
-        let work = self.rows() * k * n;
-        let workers = par.workers(self.rows(), work);
         // The scalar matmul_t is a dot product along `k` — vectorizing *that*
         // would need a horizontal reduction, which reorders the additions.
-        // The SIMD path instead packs `otherᵀ` once (shared, read-only across
-        // workers) and runs the column-vectorized dense kernel over it: each
-        // lane owns one output element, accumulated in ascending `k` exactly
-        // like the scalar dot product. The packing cost is O(n·k) against an
-        // O(m·n·k) product — and only worth paying when a SIMD tile kernel
-        // actually exists on this CPU; otherwise the Simd pin falls straight
-        // through to the direct blocked t-kernel.
-        let packed = match backend {
+        // The SIMD path instead packs `otherᵀ` once and runs the
+        // column-vectorized dense kernel over it: each lane owns one output
+        // element, accumulated in ascending `k` exactly like the scalar dot
+        // product. The packing cost is O(n·k) against an O(m·n·k) product —
+        // and only worth paying when a SIMD tile kernel actually exists on
+        // this CPU; otherwise the Simd pin falls straight through to the
+        // direct blocked t-kernel.
+        let (ad, out) = (self.as_slice(), out.as_mut_slice());
+        match par.backend() {
             KernelBackend::Simd if n > 0 && k > 0 && KernelBackend::simd_available() => {
-                Some(other.transpose())
-            }
-            _ => None,
-        };
-        partition_rows(out.as_mut_slice(), n, workers, |first_row, chunk| {
-            match &packed {
                 // Dense (no zero skip): the reference matmul_t never skips.
-                Some(bt) => matmul_rows_simd(
-                    self.as_slice(),
-                    k,
-                    bt.as_slice(),
-                    n,
-                    first_row,
-                    chunk,
-                    false,
-                ),
-                None => matmul_t_rows(self.as_slice(), k, other.as_slice(), n, first_row, chunk),
+                matmul_rows_simd(ad, k, other.transpose().as_slice(), n, out, false)
             }
-        });
+            _ => matmul_t_rows(ad, k, other.as_slice(), n, out),
+        }
     }
 }
 
@@ -515,30 +361,24 @@ pub(crate) fn t_matmul_slices(
     );
     let skip_zeros = scan_finite(bd);
     let mut out = Matrix::zeros(k, n);
-    let workers = par.workers(k, samples * k * n);
-    let backend = par.backend();
-    partition_rows(out.as_mut_slice(), n, workers, |first_row, chunk| {
-        // The blocked t_matmul is the reference loop restricted to a row
-        // range; Simd reads `a` transposed in place and keeps each output
-        // row chunk in registers across all samples.
-        let simd = backend == KernelBackend::Simd
-            && saxpy_rows_simd(
-                Strided::cols(ad, k, samples),
-                bd,
-                n,
-                first_row,
-                chunk,
-                skip_zeros,
-            );
-        if !simd {
-            t_matmul_rows(ad, k, bd, n, samples, first_row, chunk, skip_zeros);
-        }
-    });
+    // The blocked t_matmul is the reference loop; Simd reads `a` transposed
+    // in place and keeps each output row chunk in registers across all
+    // samples.
+    let simd = par.backend() == KernelBackend::Simd
+        && saxpy_rows_simd(
+            Strided::cols(ad, k, samples),
+            bd,
+            n,
+            out.as_mut_slice(),
+            skip_zeros,
+        );
+    if !simd {
+        t_matmul_rows(ad, k, bd, n, samples, out.as_mut_slice(), skip_zeros);
+    }
     out
 }
 
-/// Blocked `matmul` over output rows `first_row ..` of `a @ b`, accumulating
-/// into `out` (a contiguous chunk of the output, `len = rows_here * n`).
+/// Blocked `matmul` of `a @ b`, accumulating into `out` (`rows × n`).
 ///
 /// Register micro-tiles of `MR × NR` accumulators, loaded from `out`; the
 /// inner dimension `k` runs ascending over the *full* range for each tile,
@@ -549,18 +389,10 @@ pub(crate) fn t_matmul_slices(
 ///
 /// All three row kernels take raw slices + dimensions rather than `&Matrix`
 /// deliberately: slice parameters carry `noalias` guarantees at the function
-/// boundary, while a heap buffer loaded through a struct reference does not
-/// — and without that LLVM refuses to vectorize the inner tile loops once
-/// the kernel is reachable from the threaded fan-out (measured ~4× slower).
-fn matmul_rows(
-    ad: &[f32],
-    kk: usize,
-    bd: &[f32],
-    n: usize,
-    first_row: usize,
-    out: &mut [f32],
-    skip_zeros: bool,
-) {
+/// boundary, while a heap buffer loaded through a struct reference does not,
+/// and without them LLVM may keep `out` and the operands in memory instead
+/// of vectorizing the inner tile loops.
+fn matmul_rows(ad: &[f32], kk: usize, bd: &[f32], n: usize, out: &mut [f32], skip_zeros: bool) {
     if n == 0 {
         return;
     }
@@ -568,41 +400,28 @@ fn matmul_rows(
     let a_row = |r: usize| -> &[f32] { &ad[r * kk..(r + 1) * kk] };
     let mut r = 0;
     while r + MR <= rows {
-        let a_rows: [&[f32]; MR] = std::array::from_fn(|i| a_row(first_row + r + i));
+        let a_rows: [&[f32]; MR] = std::array::from_fn(|i| a_row(r + i));
         matmul_row_block::<MR>(a_rows, bd, kk, n, &mut out[r * n..(r + MR) * n], skip_zeros);
         r += MR;
     }
     while r < rows {
-        matmul_row_block::<1>(
-            [a_row(first_row + r)],
-            bd,
-            kk,
-            n,
-            &mut out[r * n..(r + 1) * n],
-            skip_zeros,
-        );
+        let out = &mut out[r * n..(r + 1) * n];
+        matmul_row_block::<1>([a_row(r)], bd, kk, n, out, skip_zeros);
         r += 1;
     }
 }
 
-/// The reference kernel's sparse i-k-j saxpy order, zero terms skipped,
-/// restricted to a row range: the sparse-left dispatch of
-/// [`Matrix::matmul_with`], whose caller has checked that `bd` is finite, so
-/// per-element accumulation matches [`Matrix::matmul`] exactly.
-fn matmul_rows_saxpy(
-    ad: &[f32],
-    kk: usize,
-    bd: &[f32],
-    n: usize,
-    first_row: usize,
-    out: &mut [f32],
-) {
+/// The reference kernel's sparse i-k-j saxpy order, zero terms skipped: the
+/// sparse-left dispatch of [`Matrix::matmul_with`], whose caller has checked
+/// that `bd` is finite, so per-element accumulation matches
+/// [`Matrix::matmul`] exactly.
+fn matmul_rows_saxpy(ad: &[f32], kk: usize, bd: &[f32], n: usize, out: &mut [f32]) {
     if n == 0 {
         return;
     }
     let rows = out.len() / n;
     for r in 0..rows {
-        let a_row = &ad[(first_row + r) * kk..(first_row + r + 1) * kk];
+        let a_row = &ad[r * kk..(r + 1) * kk];
         let out_row = &mut out[r * n..(r + 1) * n];
         for (k, &av) in a_row.iter().enumerate() {
             if av == 0.0 {
@@ -698,39 +517,32 @@ fn matmul_row_tail<const M: usize>(
     }
 }
 
-/// `aᵀ @ b` restricted to output rows `first_row ..` (columns of `a`).
-/// `ad` is `samples × kk`, `bd` is `samples × n`.
+/// `aᵀ @ b` into `out` (`kk × n`). `ad` is `samples × kk`, `bd` is
+/// `samples × n`.
 ///
-/// The scalar kernel accumulates output row `k` as contributions in
-/// ascending sample order `r`; restricting `k` to this worker's range keeps
-/// that per-element order untouched.
+/// The scalar kernel's loop: output row `k` accumulates its contributions
+/// in ascending sample order `r`.
 // lint: hot-path
-#[allow(clippy::too_many_arguments)] // slice+dims boundary, see matmul_rows
 fn t_matmul_rows(
     ad: &[f32],
     kk: usize,
     bd: &[f32],
     n: usize,
     samples: usize,
-    first_row: usize,
     out: &mut [f32],
     skip_zeros: bool,
 ) {
     if n == 0 {
         return;
     }
-    let rows_here = out.len() / n;
-    if rows_here == 0 {
-        return;
-    }
     for r in 0..samples {
-        let a_seg = &ad[r * kk + first_row..r * kk + first_row + rows_here];
+        let a_row = &ad[r * kk..(r + 1) * kk];
         let b_row = &bd[r * n..r * n + n];
-        for (k_local, &av) in a_seg.iter().enumerate() {
+        for (k, &av) in a_row.iter().enumerate() {
             if skip_zeros && av == 0.0 {
                 continue;
             }
-            let out_row = &mut out[k_local * n..k_local * n + n];
+            let out_row = &mut out[k * n..k * n + n];
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
                 *o += av * bv;
             }
@@ -738,17 +550,17 @@ fn t_matmul_rows(
     }
 }
 
-/// `a @ bᵀ` over output rows `first_row ..`: independent register-accumulated
-/// dot products, four output columns at a time so each `a` row load is
-/// reused. Ascending-`k` accumulation per element, like the scalar kernel.
-/// `ad` is `rows × kk`, `bd` is `n × kk`.
-fn matmul_t_rows(ad: &[f32], kk: usize, bd: &[f32], n: usize, first_row: usize, out: &mut [f32]) {
+/// `a @ bᵀ`: independent register-accumulated dot products, four output
+/// columns at a time so each `a` row load is reused. Ascending-`k`
+/// accumulation per element, like the scalar kernel. `ad` is `rows × kk`,
+/// `bd` is `n × kk`.
+fn matmul_t_rows(ad: &[f32], kk: usize, bd: &[f32], n: usize, out: &mut [f32]) {
     if n == 0 {
         return;
     }
     let rows = out.len() / n;
     for r in 0..rows {
-        let a_row = &ad[(first_row + r) * kk..(first_row + r + 1) * kk];
+        let a_row = &ad[r * kk..(r + 1) * kk];
         let out_row = &mut out[r * n..(r + 1) * n];
         let mut j = 0;
         while j + 4 <= n {
@@ -784,13 +596,11 @@ fn matmul_t_rows(ad: &[f32], kk: usize, bd: &[f32], n: usize, first_row: usize, 
 /// [`matmul_rows`] through the explicit-SIMD tile kernel when this CPU has
 /// one, else the blocked kernel — bit-identical either way, so selecting
 /// [`KernelBackend::Simd`] is always safe.
-#[allow(clippy::too_many_arguments)] // slice+dims boundary, see matmul_rows
 fn matmul_rows_simd(
     ad: &[f32],
     kk: usize,
     bd: &[f32],
     n: usize,
-    first_row: usize,
     out: &mut [f32],
     skip_zeros: bool,
 ) {
@@ -799,19 +609,19 @@ fn matmul_rows_simd(
         SimdLevel::Avx512 => {
             // SAFETY: simd_level() observed AVX-512F via runtime detection,
             // satisfying the target_feature precondition; the slice/dims
-            // contract (`ad` holds rows of length `kk` from `first_row`,
+            // contract (`ad` holds a row of length `kk` per row of `out`,
             // `bd` is `kk x n` row-major, `out.len()` a multiple of `n`) is
             // the same one the scalar kernel is called under.
-            return unsafe { x86::matmul_rows_avx512(ad, kk, bd, n, first_row, out, skip_zeros) };
+            return unsafe { x86::matmul_rows_avx512(ad, kk, bd, n, out, skip_zeros) };
         }
         SimdLevel::Avx2 => {
             // SAFETY: simd_level() observed AVX2 via runtime detection;
             // slice/dims contract as above.
-            return unsafe { x86::matmul_rows_avx2(ad, kk, bd, n, first_row, out, skip_zeros) };
+            return unsafe { x86::matmul_rows_avx2(ad, kk, bd, n, out, skip_zeros) };
         }
         SimdLevel::None => {}
     }
-    matmul_rows(ad, kk, bd, n, first_row, out, skip_zeros)
+    matmul_rows(ad, kk, bd, n, out, skip_zeros)
 }
 
 /// A left operand read in place: element `(i, t)` (output row `i`, inner
@@ -847,25 +657,24 @@ impl<'a> Strided<'a> {
         }
     }
 
-    /// Panics unless rows `first_row .. first_row + rows` lie in `data`
-    /// over every term: the bound the SIMD kernels' raw reads rely on.
-    fn check(&self, first_row: usize, rows: usize) {
+    /// Panics unless rows `0 .. rows` lie in `data` over every term: the
+    /// bound the SIMD kernels' raw reads rely on.
+    fn check(&self, rows: usize) {
         if rows > 0 && self.terms > 0 {
-            let last = (first_row + rows - 1) * self.row_step + (self.terms - 1) * self.t_step;
+            let last = (rows - 1) * self.row_step + (self.terms - 1) * self.t_step;
             assert!(last < self.data.len(), "strided operand out of bounds");
         }
     }
 }
 
 /// The register-resident zero-skip saxpy (`out += lhs · bd` over the rows
-/// of `out` from `first_row`) when this CPU has an explicit-SIMD kernel,
-/// returning `false` without touching `out` when it has none, so the caller
-/// runs its blocked twin.
+/// of `out`) when this CPU has an explicit-SIMD kernel, returning `false`
+/// without touching `out` when it has none, so the caller runs its blocked
+/// twin.
 fn saxpy_rows_simd(
     lhs: Strided<'_>,
     bd: &[f32],
     n: usize,
-    first_row: usize,
     out: &mut [f32],
     skip_zeros: bool,
 ) -> bool {
@@ -874,13 +683,13 @@ fn saxpy_rows_simd(
         SimdLevel::Avx512 => {
             // SAFETY: simd_level() observed AVX-512F via runtime detection,
             // the kernel's only unchecked precondition; it asserts bounds.
-            unsafe { x86::saxpy_rows_avx512(lhs, bd, n, first_row, out, skip_zeros) };
+            unsafe { x86::saxpy_rows_avx512(lhs, bd, n, out, skip_zeros) };
             return true;
         }
         SimdLevel::Avx2 => {
             // SAFETY: simd_level() observed AVX2 via runtime detection;
             // bounds are asserted by the kernel.
-            unsafe { x86::saxpy_rows_avx2(lhs, bd, n, first_row, out, skip_zeros) };
+            unsafe { x86::saxpy_rows_avx2(lhs, bd, n, out, skip_zeros) };
             return true;
         }
         SimdLevel::None => {}
@@ -913,19 +722,17 @@ mod x86 {
     use super::{matmul_row_tail, Strided, MR, NR};
     use core::arch::x86_64::*;
 
-    /// AVX2 `matmul` over a row chunk: `MR`-row blocks × `NR`-column tiles,
+    /// AVX2 `matmul`: `MR`-row blocks × `NR`-column tiles,
     /// two 256-bit accumulators per row.
     ///
     /// # Safety
     /// AVX2 must be available (callers dispatch on runtime detection).
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
     pub unsafe fn matmul_rows_avx2(
         ad: &[f32],
         kk: usize,
         bd: &[f32],
         n: usize,
-        first_row: usize,
         out: &mut [f32],
         skip_zeros: bool,
     ) {
@@ -936,19 +743,13 @@ mod x86 {
         let a_row = |r: usize| -> &[f32] { &ad[r * kk..(r + 1) * kk] };
         let mut r = 0;
         while r + MR <= rows {
-            let a_rows: [&[f32]; MR] = std::array::from_fn(|i| a_row(first_row + r + i));
+            let a_rows: [&[f32]; MR] = std::array::from_fn(|i| a_row(r + i));
             row_block_avx2::<MR>(a_rows, bd, kk, n, &mut out[r * n..(r + MR) * n], skip_zeros);
             r += MR;
         }
         while r < rows {
-            row_block_avx2::<1>(
-                [a_row(first_row + r)],
-                bd,
-                kk,
-                n,
-                &mut out[r * n..(r + 1) * n],
-                skip_zeros,
-            );
+            let out = &mut out[r * n..(r + 1) * n];
+            row_block_avx2::<1>([a_row(r)], bd, kk, n, out, skip_zeros);
             r += 1;
         }
     }
@@ -1010,19 +811,17 @@ mod x86 {
         }
     }
 
-    /// AVX-512F `matmul` over a row chunk: one 512-bit accumulator per row
+    /// AVX-512F `matmul`: one 512-bit accumulator per row
     /// covers a full `NR = 16` column tile.
     ///
     /// # Safety
     /// AVX-512F must be available (callers dispatch on runtime detection).
     #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
     pub unsafe fn matmul_rows_avx512(
         ad: &[f32],
         kk: usize,
         bd: &[f32],
         n: usize,
-        first_row: usize,
         out: &mut [f32],
         skip_zeros: bool,
     ) {
@@ -1033,19 +832,13 @@ mod x86 {
         let a_row = |r: usize| -> &[f32] { &ad[r * kk..(r + 1) * kk] };
         let mut r = 0;
         while r + MR <= rows {
-            let a_rows: [&[f32]; MR] = std::array::from_fn(|i| a_row(first_row + r + i));
+            let a_rows: [&[f32]; MR] = std::array::from_fn(|i| a_row(r + i));
             row_block_avx512::<MR>(a_rows, bd, kk, n, &mut out[r * n..(r + MR) * n], skip_zeros);
             r += MR;
         }
         while r < rows {
-            row_block_avx512::<1>(
-                [a_row(first_row + r)],
-                bd,
-                kk,
-                n,
-                &mut out[r * n..(r + 1) * n],
-                skip_zeros,
-            );
+            let out = &mut out[r * n..(r + 1) * n];
+            row_block_avx512::<1>([a_row(r)], bd, kk, n, out, skip_zeros);
             r += 1;
         }
     }
@@ -1129,7 +922,7 @@ mod x86 {
     /// data-dependent branch; returns how many.
     ///
     /// # Safety
-    /// `lhs.check` must have passed for `row`, and `t0 + len ≤ lhs.terms`,
+    /// `lhs.check` must have covered `row`, and `t0 + len ≤ lhs.terms`,
     /// `len ≤ BLOCK`.
     #[inline(always)]
     unsafe fn keep_terms(
@@ -1179,8 +972,8 @@ mod x86 {
         }
     }
 
-    /// AVX-512F zero-skip saxpy over a row chunk: `out[i, ..] += Σ_t
-    /// lhs(first_row + i, t) · b[t, ..]` for the rows of `out`
+    /// AVX-512F zero-skip saxpy: `out[i, ..] += Σ_t lhs(i, t) · b[t, ..]`
+    /// for the rows of `out`
     /// (`out.len() / n` of them), terms in ascending `t`. Each row runs
     /// through column chunks of up to eight 512-bit accumulators (128
     /// columns, the last vector masked): the chunk is loaded from `out`
@@ -1190,14 +983,13 @@ mod x86 {
     ///
     /// # Safety
     /// AVX-512F must be available (callers dispatch on runtime detection).
-    /// Bounds are asserted here: `lhs` must cover rows `first_row ..` of
-    /// this chunk over all its terms, and `bd` must hold `lhs.terms × n`.
+    /// Bounds are asserted here: `lhs` must cover every row of `out` over
+    /// all its terms, and `bd` must hold `lhs.terms × n`.
     #[target_feature(enable = "avx512f")]
     pub unsafe fn saxpy_rows_avx512(
         lhs: Strided<'_>,
         bd: &[f32],
         n: usize,
-        first_row: usize,
         out: &mut [f32],
         skip_zeros: bool,
     ) {
@@ -1205,7 +997,7 @@ mod x86 {
             return;
         }
         let rows = out.len() / n;
-        lhs.check(first_row, rows);
+        lhs.check(rows);
         assert!(bd.len() >= lhs.terms * n, "saxpy: b holds too few rows");
         let mut list: TermList = [(0, 0.0); BLOCK];
         let mut j0 = 0;
@@ -1218,18 +1010,18 @@ mod x86 {
             let l = &mut list;
             by_width!(
                 vectors,
-                cols_avx512(lhs, first_row, rows, b, n, o, tail, skip_zeros, l)
+                cols_avx512(lhs, rows, b, n, o, tail, skip_zeros, l)
             );
             j0 += width;
         }
     }
 
     /// One column chunk of `V` 512-bit vectors over every row of
-    /// [`saxpy_rows_avx512`]'s chunk, each row's part held in registers
+    /// [`saxpy_rows_avx512`]'s `out`, each row's part held in registers
     /// across all its terms.
     ///
     /// # Safety
-    /// AVX-512F must be available; `lhs.check(first_row, rows)` passed,
+    /// AVX-512F must be available; `lhs.check(rows)` passed,
     /// `b` points at `lhs.terms` rows of stride `n` with `(V - 1) · 16` +
     /// the lanes of `tail` readable in each, and `out` at `rows` rows of
     /// stride `n` with as many writable.
@@ -1238,7 +1030,6 @@ mod x86 {
     #[allow(clippy::too_many_arguments)] // one column chunk: pointers, dims, mask
     unsafe fn cols_avx512<const V: usize>(
         lhs: Strided<'_>,
-        first_row: usize,
         rows: usize,
         b: *const f32,
         n: usize,
@@ -1249,13 +1040,12 @@ mod x86 {
     ) {
         let mask = |v: usize| if v + 1 == V { tail } else { !0 };
         let first = lhs.terms.min(BLOCK);
-        for r in 0..rows {
-            let row = first_row + r;
+        for row in 0..rows {
             let kept = keep_terms(lhs, row, 0, first, skip_zeros, list);
             if kept == 0 && first == lhs.terms {
                 continue; // nothing to add: this row of `out` keeps its bits
             }
-            let out = out.add(r * n);
+            let out = out.add(row * n);
             let mut acc = [_mm512_setzero_ps(); V];
             for (v, x) in acc.iter_mut().enumerate() {
                 *x = _mm512_maskz_loadu_ps(mask(v), out.add(v * W512));
@@ -1285,7 +1075,6 @@ mod x86 {
         lhs: Strided<'_>,
         bd: &[f32],
         n: usize,
-        first_row: usize,
         out: &mut [f32],
         skip_zeros: bool,
     ) {
@@ -1293,7 +1082,7 @@ mod x86 {
             return;
         }
         let rows = out.len() / n;
-        lhs.check(first_row, rows);
+        lhs.check(rows);
         assert!(bd.len() >= lhs.terms * n, "saxpy: b holds too few rows");
         let mut list: TermList = [(0, 0.0); BLOCK];
         let mut j0 = 0;
@@ -1307,10 +1096,7 @@ mod x86 {
             );
             let (b, o) = (bd.as_ptr().add(j0), out.as_mut_ptr().add(j0));
             let l = &mut list;
-            by_width!(
-                vectors,
-                cols_avx2(lhs, first_row, rows, b, n, o, tail, skip_zeros, l)
-            );
+            by_width!(vectors, cols_avx2(lhs, rows, b, n, o, tail, skip_zeros, l));
             j0 += width;
         }
     }
@@ -1325,7 +1111,6 @@ mod x86 {
     #[allow(clippy::too_many_arguments)] // one column chunk: pointers, dims, mask
     unsafe fn cols_avx2<const V: usize>(
         lhs: Strided<'_>,
-        first_row: usize,
         rows: usize,
         b: *const f32,
         n: usize,
@@ -1342,13 +1127,12 @@ mod x86 {
             }
         };
         let first = lhs.terms.min(BLOCK);
-        for r in 0..rows {
-            let row = first_row + r;
+        for row in 0..rows {
             let kept = keep_terms(lhs, row, 0, first, skip_zeros, list);
             if kept == 0 && first == lhs.terms {
                 continue; // nothing to add: this row of `out` keeps its bits
             }
-            let out = out.add(r * n);
+            let out = out.add(row * n);
             let mut acc = [_mm256_setzero_ps(); V];
             for (v, x) in acc.iter_mut().enumerate() {
                 *x = load(out.add(v * W256), v);
@@ -1404,17 +1188,17 @@ mod tests {
     /// CPU has its ISA, against its blocked twin bit for bit: the dense tiles
     /// against `matmul_rows`, the saxpy reading `A` as itself against
     /// `matmul_rows_saxpy`, and reading `A` transposed against
-    /// `t_matmul_rows`, each on a row chunk that starts past row 0 and onto
-    /// a non-zero `out` holding `-0.0`s. Dispatch picks one ISA per CPU, so
-    /// without this the AVX2 kernels never run on an AVX-512 host.
+    /// `t_matmul_rows`, each onto a non-zero `out` holding `-0.0`s.
+    /// Dispatch picks one ISA per CPU, so without this the AVX2 kernels
+    /// never run on an AVX-512 host.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn every_isa_kernel_matches_the_blocked_kernels() {
         // SAFETY: the kernels behind these pointers need their ISA; one is
         // pushed below only after runtime detection found it.
-        type Dense = unsafe fn(&[f32], usize, &[f32], usize, usize, &mut [f32], bool);
+        type Dense = unsafe fn(&[f32], usize, &[f32], usize, &mut [f32], bool);
         // SAFETY: as above.
-        type Saxpy = unsafe fn(Strided<'_>, &[f32], usize, usize, &mut [f32], bool);
+        type Saxpy = unsafe fn(Strided<'_>, &[f32], usize, &mut [f32], bool);
         let mut isas: Vec<(&str, Dense, Saxpy)> = Vec::new();
         if std::arch::is_x86_feature_detected!("avx2") {
             isas.push(("avx2", x86::matmul_rows_avx2, x86::saxpy_rows_avx2));
@@ -1427,72 +1211,54 @@ mod tests {
             5 => -0.0,
             _ => (i % 13) as f32 * 0.37 - 2.1,
         };
-        let (rows, first_row) = (5, 2);
+        let rows = 7;
         for n in (1..=40).chain([63, 64, 65, 96, 127, 128, 129, 130, 200]) {
             for kk in [1, 7, 64] {
-                let a: Vec<f32> = (0..(first_row + rows) * kk)
-                    .map(|i| value(i * 3 + n))
-                    .collect();
+                let a: Vec<f32> = (0..rows * kk).map(|i| value(i * 3 + n)).collect();
                 let mut b: Vec<f32> = (0..kk * n).map(|i| value(i + 1) + 0.5).collect();
                 let out0: Vec<f32> = (0..rows * n).map(|i| value(i + 2)).collect();
-                // `A` transposed: `samples × kk`, output rows `t_first ..`.
-                let samples = first_row + rows;
-                let t_first = kk / 3;
-                let t_out0: Vec<f32> = (0..(kk - t_first) * n).map(|i| value(i + 4)).collect();
-                let mut g: Vec<f32> = (0..samples * n).map(|i| value(i + 5) - 0.25).collect();
+                // `A` transposed: `rows` samples into a `kk × n` output.
+                let t_out0: Vec<f32> = (0..kk * n).map(|i| value(i + 4)).collect();
+                let mut g: Vec<f32> = (0..rows * n).map(|i| value(i + 5) - 0.25).collect();
                 for finite in [true, false] {
                     if !finite {
                         b[(kk / 2) * n..(kk / 2 + 1) * n].fill(f32::NAN);
                         g[n..2 * n].fill(f32::INFINITY);
                     }
                     let mut want_dense = out0.clone();
-                    matmul_rows(&a, kk, &b, n, first_row, &mut want_dense, finite);
+                    matmul_rows(&a, kk, &b, n, &mut want_dense, finite);
                     let mut want_saxpy = out0.clone();
                     if finite {
-                        matmul_rows_saxpy(&a, kk, &b, n, first_row, &mut want_saxpy);
+                        matmul_rows_saxpy(&a, kk, &b, n, &mut want_saxpy);
                     }
                     let mut want_t = t_out0.clone();
-                    t_matmul_rows(&a, kk, &g, n, samples, t_first, &mut want_t, finite);
+                    t_matmul_rows(&a, kk, &g, n, rows, &mut want_t, finite);
                     for &(isa, dense, saxpy) in &isas {
                         let case = format!("{isa} n={n} kk={kk} finite={finite}");
                         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         let mut got = out0.clone();
                         // SAFETY: the ISA was detected above; the slices
-                        // hold rows `first_row ..` of `a` and a `kk × n` `b`.
-                        unsafe { dense(&a, kk, &b, n, first_row, &mut got, finite) };
+                        // hold a `rows × kk` `a` and a `kk × n` `b`.
+                        unsafe { dense(&a, kk, &b, n, &mut got, finite) };
                         assert_eq!(bits(&want_dense), bits(&got), "dense tiles {case}");
                         if finite {
                             let mut got = out0.clone();
                             let lhs = Strided::rows(&a, kk);
                             // SAFETY: the ISA was detected above; the kernel
                             // asserts its bounds.
-                            unsafe { saxpy(lhs, &b, n, first_row, &mut got, true) };
+                            unsafe { saxpy(lhs, &b, n, &mut got, true) };
                             assert_eq!(bits(&want_saxpy), bits(&got), "saxpy A·B {case}");
                         }
                         let mut got = t_out0.clone();
-                        let lhs = Strided::cols(&a, kk, samples);
+                        let lhs = Strided::cols(&a, kk, rows);
                         // SAFETY: the ISA was detected above; the kernel
                         // asserts its bounds.
-                        unsafe { saxpy(lhs, &g, n, t_first, &mut got, finite) };
+                        unsafe { saxpy(lhs, &g, n, &mut got, finite) };
                         assert_eq!(bits(&want_t), bits(&got), "saxpy Aᵀ·B {case}");
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn parallelism_clamps_and_merges() {
-        assert_eq!(Parallelism::threads(0).thread_count(), 1);
-        assert!(Parallelism::serial().is_serial());
-        assert!(Parallelism::auto().thread_count() >= 1);
-        let merged = Parallelism::threads(2).max(Parallelism::threads(5));
-        assert_eq!(merged.thread_count(), 5);
-        // Small work stays serial under a plain hint, threads under exact.
-        assert_eq!(Parallelism::threads(8).workers(100, 1000), 1);
-        assert_eq!(Parallelism::exact_threads(8).workers(100, 1000), 8);
-        assert_eq!(Parallelism::exact_threads(8).workers(3, 1000), 3);
-        assert_eq!(Parallelism::threads(8).workers(100, 64_000_000), 8);
     }
 
     #[test]
@@ -1513,7 +1279,7 @@ mod tests {
 
     #[test]
     fn backend_pinning_merges_and_survives_serial_worker() {
-        let pinned = Parallelism::threads(2).with_backend(KernelBackend::Blocked);
+        let pinned = Parallelism::serial().with_backend(KernelBackend::Blocked);
         assert_eq!(pinned.backend(), KernelBackend::Blocked);
         assert_eq!(pinned.pinned_backend(), Some(KernelBackend::Blocked));
         assert_eq!(Parallelism::serial().pinned_backend(), None);
@@ -1522,22 +1288,22 @@ mod tests {
             Parallelism::serial().backend(),
             KernelBackend::default_backend()
         );
-        // max(): self's pin wins, any pin beats none; serial_worker keeps it.
-        let merged = pinned.max(Parallelism::threads(8));
-        assert_eq!(merged.thread_count(), 8);
-        assert_eq!(merged.pinned_backend(), Some(KernelBackend::Blocked));
-        let other = Parallelism::threads(8).with_backend(KernelBackend::Simd);
+        // max(): self's pin wins, any pin beats none, and `None` keeps
+        // the pin already there.
+        let unpinned = Parallelism::serial();
+        assert_eq!(pinned.max(unpinned), pinned);
+        assert_eq!(unpinned.max(pinned), pinned);
+        let other = Parallelism::serial().with_backend(KernelBackend::Simd);
         assert_eq!(
             pinned.max(other).pinned_backend(),
             Some(KernelBackend::Blocked)
         );
         assert_eq!(
-            Parallelism::threads(8).max(other).pinned_backend(),
+            other.max(pinned).pinned_backend(),
             Some(KernelBackend::Simd)
         );
-        let worker = merged.serial_worker();
-        assert!(worker.is_serial());
-        assert_eq!(worker.pinned_backend(), Some(KernelBackend::Blocked));
+        assert_eq!(pinned.with_backend_opt(None), pinned);
+        assert_eq!(Parallelism::default(), unpinned);
     }
 
     #[test]
@@ -1595,29 +1361,27 @@ mod tests {
         assert!(split_cases[1].3.as_slice().iter().any(|v| v.is_nan()));
         assert!(split_cases[2].3.as_slice().iter().all(|v| v.is_nan()));
         for backend in [KernelBackend::Blocked, KernelBackend::Simd] {
-            for t in [1, 3] {
-                let par = Parallelism::exact_threads(t).with_backend(backend);
-                let what = format!("{}/t={t}", backend.label());
-                assert_bits_eq(&want_mm, &a.matmul_with(&b, par), &format!("matmul {what}"));
-                assert_bits_eq(
-                    &want_mmt,
-                    &a.matmul_t_with(&bt, par),
-                    &format!("matmul_t {what}"),
-                );
-                assert_bits_eq(
-                    &want_tmm,
-                    &at.t_matmul_with(&b, par),
-                    &format!("t_matmul {what}"),
-                );
-                for (case, a2, id, want) in &split_cases {
-                    let scanned = Weights::scan(store.value(*id));
-                    for (b, how) in [(scanned, "scanned"), (store.weights(*id), "cached")] {
-                        assert_bits_eq(
-                            want,
-                            &split_k(&a, a2, b, par),
-                            &format!("{case} matmul_acc {how} {what}"),
-                        );
-                    }
+            let par = Parallelism::serial().with_backend(backend);
+            let what = backend.label();
+            assert_bits_eq(&want_mm, &a.matmul_with(&b, par), &format!("matmul {what}"));
+            assert_bits_eq(
+                &want_mmt,
+                &a.matmul_t_with(&bt, par),
+                &format!("matmul_t {what}"),
+            );
+            assert_bits_eq(
+                &want_tmm,
+                &at.t_matmul_with(&b, par),
+                &format!("t_matmul {what}"),
+            );
+            for (case, a2, id, want) in &split_cases {
+                let scanned = Weights::scan(store.value(*id));
+                for (b, how) in [(scanned, "scanned"), (store.weights(*id), "cached")] {
+                    assert_bits_eq(
+                        want,
+                        &split_k(&a, a2, b, par),
+                        &format!("{case} matmul_acc {how} {what}"),
+                    );
                 }
             }
         }
@@ -1655,43 +1419,18 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matches_scalar_for_every_worker_count() {
-        let a = filled(13, 21, |r, c| if c % 4 == 0 { 0.0 } else { (r + c) as f32 });
-        let b = filled(21, 10, |r, c| (r as f32 - c as f32) * 0.25);
-        let want = a.matmul(&b);
-        // The inner dimension split 8 + 13: the second call continues from
-        // the first call's output, row partitions and all.
-        let (a1, a2) = (a.slice_cols(0, 8), a.slice_cols(8, 21));
-        for t in [1, 2, 3, 4, 7, 16] {
-            let par = Parallelism::exact_threads(t);
-            assert_bits_eq(&want, &a.matmul_with(&b, par), "threads");
-            assert_bits_eq(
-                &want,
-                &split_k(&a1, &a2, Weights::scan(&b), par),
-                "split-K threads",
-            );
-        }
-    }
-
-    #[test]
     fn degenerate_shapes_are_handled() {
-        let a = Matrix::zeros(0, 4);
-        let b = Matrix::zeros(4, 3);
-        assert_eq!(
-            a.matmul_with(&b, Parallelism::exact_threads(4)).shape(),
-            (0, 3)
-        );
-        let a = Matrix::zeros(3, 0);
-        let b = Matrix::zeros(0, 2);
-        let c = a.matmul_with(&b, Parallelism::exact_threads(2));
-        assert_eq!(c.shape(), (3, 2));
-        assert!(c.as_slice().iter().all(|&v| v == 0.0));
-        let a = Matrix::zeros(2, 5);
-        let b = Matrix::zeros(5, 0);
-        assert_eq!(
-            a.matmul_with(&b, Parallelism::exact_threads(2)).shape(),
-            (2, 0)
-        );
+        for backend in [KernelBackend::Blocked, KernelBackend::Simd] {
+            let par = Parallelism::serial().with_backend(backend);
+            let (a, b) = (Matrix::zeros(0, 4), Matrix::zeros(4, 3));
+            assert_eq!(a.matmul_with(&b, par).shape(), (0, 3));
+            let (a, b) = (Matrix::zeros(3, 0), Matrix::zeros(0, 2));
+            let c = a.matmul_with(&b, par);
+            assert_eq!(c.shape(), (3, 2));
+            assert!(c.as_slice().iter().all(|&v| v == 0.0));
+            let (a, b) = (Matrix::zeros(2, 5), Matrix::zeros(5, 0));
+            assert_eq!(a.matmul_with(&b, par).shape(), (2, 0));
+        }
     }
 
     #[test]
@@ -1706,12 +1445,9 @@ mod tests {
         b.set(4, 0, f32::INFINITY);
         let want = a.matmul(&b);
         assert!(want.as_slice().iter().any(|v| v.is_nan()));
-        for t in [1, 2, 4] {
-            assert_bits_eq(
-                &want,
-                &a.matmul_with(&b, Parallelism::exact_threads(t)),
-                "nan matmul",
-            );
+        for backend in [KernelBackend::Blocked, KernelBackend::Simd] {
+            let par = Parallelism::serial().with_backend(backend);
+            assert_bits_eq(&want, &a.matmul_with(&b, par), "nan matmul");
         }
     }
 }

@@ -125,9 +125,9 @@ impl Dense {
         self.infer_with(store, x, Parallelism::serial())
     }
 
-    /// [`Dense::infer`] with an explicit kernel worker budget. Threaded
-    /// kernels are bit-identical to the scalar path, so the result never
-    /// depends on `par`.
+    /// [`Dense::infer`] with an explicit kernel backend pin. Every backend
+    /// is bit-identical to the scalar path, so the result never depends on
+    /// `par`.
     pub fn infer_with(&self, store: &ParamStore, x: &Matrix, par: Parallelism) -> Matrix {
         let mut h = x.matmul_with(store.weights(self.w), par);
         self.finish(store, &mut h);
@@ -226,7 +226,7 @@ impl Mlp {
         self.infer_with(store, x, Parallelism::serial())
     }
 
-    /// [`Mlp::infer`] with an explicit kernel worker budget (bit-identical
+    /// [`Mlp::infer`] with an explicit kernel backend pin (bit-identical
     /// for any `par`).
     pub fn infer_with(&self, store: &ParamStore, x: &Matrix, par: Parallelism) -> Matrix {
         let mut h = self.layers[0].infer_with(store, x, par);

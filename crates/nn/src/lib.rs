@@ -7,10 +7,10 @@
 //! * [`matrix::Matrix`] — contiguous row-major `f32` matrices with the handful
 //!   of BLAS-like kernels the models need, and [`matrix::Weights`], the
 //!   kernels' right operand paired with its finiteness,
-//! * [`kernels`] — cache-blocked, explicit-SIMD (AVX2/AVX-512 with runtime
-//!   dispatch), and multi-threaded variants of those kernels, bit-identical
-//!   to the scalar reference by construction, behind the
-//!   [`kernels::Parallelism`] + [`kernels::KernelBackend`] config,
+//! * [`kernels`] — cache-blocked and explicit-SIMD (AVX2/AVX-512 with
+//!   runtime dispatch) variants of those kernels, bit-identical to the
+//!   scalar reference by construction, behind the [`kernels::Parallelism`]
+//!   backend pin and [`kernels::KernelBackend`],
 //! * [`tape::Tape`] — a dynamic reverse-mode autodiff tape over matrices,
 //! * [`params::ParamStore`] — named trainable parameters plus their gradients
 //!   and a per-value finiteness cache,
@@ -23,8 +23,8 @@
 //! hundred kilobytes of parameters, so clarity and determinism (seeded RNG,
 //! reproducible iteration order) win over raw throughput. The [`kernels`]
 //! layer recovers throughput without giving up determinism: blocked and
-//! threaded products keep every output element's scalar accumulation order,
-//! so any thread count produces the same bits.
+//! SIMD products keep every output element's scalar accumulation order, so
+//! every backend produces the same bits.
 //!
 //! All `unsafe` code lives in [`kernels`]; clippy checks that every unsafe
 //! block states why it is sound and every unsafe function its contract.

@@ -223,9 +223,9 @@ fn zip_into(mut g: Matrix, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matri
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
-    /// Worker budget for the matrix products recorded on (and
-    /// back-propagated through) this tape. Threaded kernels are bit-identical
-    /// to the scalar ones, so this changes wall clock, never results.
+    /// Kernel backend pin for the matrix products recorded on (and
+    /// back-propagated through) this tape. Every backend is bit-identical to
+    /// the scalar kernels, so this changes wall clock, never results.
     par: Parallelism,
     spare: Spare,
     /// Columns of `g · wᵀ` that backward computed for [`Tape::linear`] and
@@ -239,7 +239,7 @@ impl Tape {
         Tape::default()
     }
 
-    /// A tape whose matmul forward/backward kernels may use `par` workers.
+    /// A tape whose matmul forward/backward kernels run on `par`'s backend.
     pub fn with_parallelism(par: Parallelism) -> Self {
         Tape {
             par,
@@ -247,9 +247,9 @@ impl Tape {
         }
     }
 
-    /// Forgets every recorded node for a new pass whose products may use
-    /// `par` workers, keeping the buffers the finished pass used for the new
-    /// pass's matrices.
+    /// Forgets every recorded node for a new pass whose products run on
+    /// `par`'s backend, keeping the buffers the finished pass used for the
+    /// new pass's matrices.
     pub fn reset(&mut self, par: Parallelism) {
         for node in self.nodes.drain(..) {
             self.spare.put(node.value);
@@ -261,7 +261,7 @@ impl Tape {
         self.par = par;
     }
 
-    /// The configured kernel parallelism.
+    /// The configured kernel backend pin.
     pub fn parallelism(&self) -> Parallelism {
         self.par
     }

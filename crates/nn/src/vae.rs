@@ -159,7 +159,7 @@ impl Vae {
         self.latent_mean_with(store, x, crate::kernels::Parallelism::serial())
     }
 
-    /// [`Vae::latent_mean`] with an explicit kernel worker budget
+    /// [`Vae::latent_mean`] with an explicit kernel backend pin
     /// (bit-identical for any `par`).
     pub fn latent_mean_with(
         &self,

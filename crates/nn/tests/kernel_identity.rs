@@ -1,19 +1,18 @@
 //! Property tests pinning the kernel-layer contract: every backend tier
-//! (blocked micro-tiles, explicit AVX2/AVX-512 SIMD) and every threading
-//! variant of `matmul` / `t_matmul` / `matmul_t` produces outputs
-//! **bit-identical** to the reference loops of `Matrix::matmul` /
-//! `t_matmul` / `matmul_t` — across rectangular and degenerate shapes (0×n,
-//! 1×1, non-square), across backends × 1/2/4 workers, at CardNet's own
-//! shapes under the clamped `Parallelism::threads` hint, and with
-//! non-finite inputs (NaN, ±∞, ±0.0) in the mix. The one deliberate relaxation: NaN outputs match as a *class*
-//! (any NaN equals any NaN), because NaN sign/payload propagation is
-//! ISA-defined and differs across hosts.
+//! (blocked micro-tiles, explicit AVX2/AVX-512 SIMD) of `matmul` /
+//! `t_matmul` / `matmul_t` produces outputs **bit-identical** to the
+//! reference loops of `Matrix::matmul` / `t_matmul` / `matmul_t` — across
+//! rectangular and degenerate shapes (0×n, 1×1, non-square), at CardNet's
+//! own shapes, and with non-finite inputs (NaN, ±∞, ±0.0) in the mix. The
+//! one deliberate relaxation: NaN outputs match as a *class* (any NaN
+//! equals any NaN), because NaN sign/payload propagation is ISA-defined and
+//! differs across hosts.
 //!
 //! Bitwise comparison (not approximate) is the point: the serving cache,
-//! the snapshot system, and the train-serial-vs-threaded guarantee all rely
-//! on "backend and thread count change wall clock, never bits". On CPUs
-//! without AVX2 the `simd` variants exercise the runtime-dispatch fallback
-//! instead — selecting the SIMD backend must be safe everywhere.
+//! the snapshot system, and the trained-weight guarantee all rely on "the
+//! backend changes wall clock, never bits". On CPUs without AVX2 the `simd`
+//! variants exercise the runtime-dispatch fallback instead — selecting the
+//! SIMD backend must be safe everywhere.
 
 use cardest_nn::kernels::{KernelBackend, Parallelism};
 use cardest_nn::{Matrix, Weights};
@@ -62,18 +61,13 @@ fn assert_bits_eq(want: &Matrix, got: &Matrix, what: &str) {
     }
 }
 
-/// The configurations under test: the process-default backend on the serial
-/// path, then every pinned backend × forced 1-, 2- and 4-thread partitions
-/// (forced so tiny shapes still exercise the real partitioning code paths).
+/// The configurations under test: the process-default backend, then every
+/// pinned backend.
 fn variants() -> Vec<(String, Parallelism)> {
-    let mut v = vec![("default/serial".to_string(), Parallelism::serial())];
+    let mut v = vec![("default".to_string(), Parallelism::serial())];
     for backend in [KernelBackend::Blocked, KernelBackend::Simd] {
-        for t in [1, 2, 4] {
-            v.push((
-                format!("{}/threads={t}", backend.label()),
-                Parallelism::exact_threads(t).with_backend(backend),
-            ));
-        }
+        let par = Parallelism::serial().with_backend(backend);
+        v.push((backend.label().to_string(), par));
     }
     v
 }
@@ -142,8 +136,8 @@ proptest! {
         check_all_kernels(m, k, n, seed, true);
     }
 
-    /// Degenerate shapes: at least one dimension pinned to zero, any
-    /// worker count. (0×n) @ (n×m), (m×0) @ (0×n), and friends.
+    /// Degenerate shapes: at least one dimension pinned to zero, on every
+    /// backend. (0×n) @ (n×m), (m×0) @ (0×n), and friends.
     #[test]
     fn kernels_handle_degenerate_shapes(
         m in 0usize..6,
@@ -161,25 +155,17 @@ proptest! {
     }
 }
 
-/// Larger-than-cache-tile shapes hit the multi-chunk threaded path with
-/// every worker owning many rows; deterministic heavyweight cases keep the
-/// proptest suite fast while still covering the "real" regime. CardNet's
-/// own products — a training minibatch and a batch estimate over
-/// binary-sparse features (64×176×96, 256×176×96) and a dense 256×256×192
-/// product — run under every variant and under the hint production code
-/// passes, `Parallelism::threads(2)`: the work floor keeps the sparse shapes
-/// serial and splits the dense one across both workers. `matmul` also runs
-/// split-K, the way the first Φ layer adds the distance rows onto the
-/// feature product.
+/// Larger-than-cache-tile shapes run many row blocks and column tiles;
+/// deterministic heavyweight cases keep the proptest suite fast while still
+/// covering the "real" regime. CardNet's own products — a training
+/// minibatch and a batch estimate over binary-sparse features (64×176×96,
+/// 256×176×96) and a dense 256×256×192 product — run under every variant.
+/// `matmul` also runs split-K, the way the first Φ layer adds the distance
+/// rows onto the feature product.
 #[test]
 fn kernels_bit_identical_at_model_scale() {
     check_all_kernels(64, 160, 96, 0xC0DE, false);
-    assert_eq!(Parallelism::threads(2).workers(256, 256 * 256 * 192), 2);
-    let mut pars = variants();
-    for backend in [KernelBackend::Blocked, KernelBackend::Simd] {
-        let par = Parallelism::threads(2).with_backend(backend);
-        pars.push((format!("{}/hint=2", backend.label()), par));
-    }
+    let pars = variants();
     for (m, k, n, sparse) in [
         (64, 176, 96, true),
         (256, 176, 96, true),
@@ -217,7 +203,7 @@ fn kernels_bit_identical_at_model_scale() {
 /// of AVX-512 accumulators, 64 of AVX2), so every chunk width and masked
 /// tail of the register-resident saxpy kernel runs, at inner dimensions
 /// 1, 7 and 64. Two products per width, each against the scalar reference
-/// on both backends and under a 2-way row split (a chunk from row > 0):
+/// on both backends:
 ///
 /// * sparse-left `matmul_acc_with` split-K, as `Tape::pair_linear` calls
 ///   it: `A₁·B₁` into a zeroed accumulator, then `A₂·B₂` onto that
@@ -230,13 +216,7 @@ fn kernels_bit_identical_at_model_scale() {
 #[test]
 fn saxpy_kernels_bit_identical_at_every_width() {
     let (m, k1) = (5, 3);
-    let mut pars = Vec::new();
-    for backend in [KernelBackend::Blocked, KernelBackend::Simd] {
-        for t in [1, 2] {
-            let label = format!("{}/threads={t}", backend.label());
-            pars.push((label, Parallelism::exact_threads(t).with_backend(backend)));
-        }
-    }
+    let pars = variants();
     for n in 1..=130usize {
         for k in [1usize, 7, 64] {
             let seed = (n * 1000 + k) as u64;

@@ -1,12 +1,10 @@
-//! A unified selector over the per-distance indexes, plus parallel workload
-//! labelling (training-data preparation, §6.1).
+//! A unified selector over the per-distance indexes.
 
 use crate::edit::EditIndex;
 use crate::euclid::VpTree;
 use crate::hamming::HammingIndex;
 use crate::jaccard::JaccardIndex;
-use cardest_data::workload::LabelledQuery;
-use cardest_data::{Dataset, DistanceKind, Record, Workload};
+use cardest_data::{Dataset, DistanceKind, Record};
 
 /// An exact similarity-selection algorithm bound to a dataset.
 pub enum Selector<'a> {
@@ -70,44 +68,10 @@ impl Selector<'_> {
     }
 }
 
-/// Labels a query workload in parallel with scoped threads: each worker
-/// scans a chunk of queries against the dataset. This is the training-data
-/// preparation path; it must agree exactly with [`Workload::label`].
-pub fn parallel_label(
-    dataset: &Dataset,
-    queries: Vec<Record>,
-    thresholds: Vec<f64>,
-    n_threads: usize,
-) -> Workload {
-    let n_threads = n_threads.max(1);
-    if queries.len() < 2 * n_threads {
-        return Workload::label(dataset, queries, thresholds);
-    }
-    let chunk = queries.len().div_ceil(n_threads);
-    let chunks: Vec<Vec<Record>> = queries.chunks(chunk).map(<[Record]>::to_vec).collect();
-    let mut results: Vec<Vec<LabelledQuery>> = Vec::with_capacity(chunks.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|qs| {
-                let thr = thresholds.clone();
-                scope.spawn(move || Workload::label(dataset, qs, thr).queries)
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("labelling worker panicked"));
-        }
-    });
-    Workload {
-        thresholds,
-        queries: results.into_iter().flatten().collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cardest_data::synth::{default_suite, SynthConfig};
+    use cardest_data::synth::default_suite;
 
     #[test]
     fn selector_dispatch_is_exact_for_all_kinds() {
@@ -123,19 +87,6 @@ mod tests {
                     ds.name
                 );
             }
-        }
-    }
-
-    #[test]
-    fn parallel_label_matches_sequential() {
-        let ds = cardest_data::synth::hm_imagenet(SynthConfig::new(200, 33));
-        let queries: Vec<Record> = ds.records[..40].to_vec();
-        let grid = Workload::uniform_grid(ds.theta_max, 8);
-        let seq = Workload::label(&ds, queries.clone(), grid.clone());
-        let par = parallel_label(&ds, queries, grid, 4);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.queries.iter().zip(&par.queries) {
-            assert_eq!(a.cards, b.cards);
         }
     }
 }

@@ -59,12 +59,10 @@ pub struct ServeConfig {
     /// θ-sweep over a repeated query turns into exact hits. `0` (default)
     /// keeps the plain batched-kernel path.
     pub cache_curve_points: usize,
-    /// Worker threads the batched compute kernel may use *per micro-batch*
-    /// (plumbed into [`cardest_core::CardinalityEstimator::estimate_batch_par`]).
-    /// Threaded kernels are bit-identical to the scalar path, so this is a
-    /// latency knob with no effect on served estimates. Default 1: the pool
-    /// already runs `workers` batches concurrently, so intra-batch threading
-    /// pays off mainly for large batches on big machines.
+    /// Unused: nothing reads this field. Every micro-batch's kernels run on
+    /// the worker thread that collected it, and the pool's `workers` give
+    /// the concurrency across batches. Kept only so existing struct
+    /// literals that set it still compile.
     pub kernel_threads: usize,
     /// Pinned compute-kernel backend for the micro-batch kernels; `None`
     /// (default) resolves [`cardest_core::KernelBackend::default_backend`]
@@ -117,12 +115,10 @@ impl ServeConfig {
         }
     }
 
-    /// The per-micro-batch kernel budget handed to the estimator's batched
-    /// paths: [`ServeConfig::kernel_threads`] workers, with
-    /// [`ServeConfig::kernel_backend`] pinned when set.
+    /// The per-micro-batch kernel config handed to the estimator's batched
+    /// paths: [`ServeConfig::kernel_backend`] pinned when set.
     pub fn kernel_parallelism(&self) -> cardest_core::Parallelism {
-        cardest_core::Parallelism::threads(self.kernel_threads)
-            .with_backend_opt(self.kernel_backend)
+        cardest_core::Parallelism::serial().with_backend_opt(self.kernel_backend)
     }
 }
 
@@ -802,7 +798,7 @@ fn serve_group(
     // latency really did include the full call). The encoder/decoder
     // sub-spans come from this thread's `ApiCounters` timing delta: the
     // model times its whole stacked encoder call and its decoder sweep on
-    // the calling thread, so the split holds at any `kernel_threads`.
+    // the calling thread, where every kernel runs.
     let meter_before = traced.then(cardest_core::metrics::ApiCounters::snapshot);
     let t_model = traced.then(Instant::now);
     if let Some(tm) = t_model {
