@@ -69,6 +69,7 @@ const USAGE: &str = "usage:
   cardest_cli estimate --data <file> --model <file> --query <record-index> --theta <f64> [--curve]
                        [--kernel-backend <blocked|simd|auto>]
   cardest_cli estimate --data <file> --model <file> --queries <file with `<index> <theta>` lines>
+                       [--kernel-backend <blocked|simd|auto>]
   cardest_cli serve    --data <file> --model <file> [--workers <n>] [--batch-max <n>]
                        [--batch-window-us <n>] [--cache <entries>] [--bound-tolerance <f64>]
                        [--cache-curve-points <n>] [--pipeline <n outstanding>]
@@ -336,7 +337,8 @@ fn cmd_estimate(flags: &Flags) -> Result<(), String> {
 
 /// Batch mode: every `<index> <theta>` line of the file goes through the
 /// serving layer (micro-batched, cached), one estimate printed per line in
-/// input order.
+/// input order. The service runs the default [`ServeConfig`];
+/// `--kernel-backend` is its only knob.
 fn cmd_estimate_batch(flags: &Flags, queries_path: &Path) -> Result<(), String> {
     let (ds, est) = load_estimator(flags)?;
     let text = std::fs::read_to_string(queries_path).map_err(|e| e.to_string())?;
@@ -348,7 +350,11 @@ fn cmd_estimate_batch(flags: &Flags, queries_path: &Path) -> Result<(), String> 
 
     let registry = Arc::new(ModelRegistry::new());
     registry.publish("default", est);
-    let service = Service::start(registry, serve_config_from_flags(flags)?);
+    let config = ServeConfig {
+        kernel_backend: kernel_backend_flag(flags)?,
+        ..ServeConfig::default()
+    };
+    let service = Service::start(registry, config);
     // Fully pipelined: submit everything, then drain in input order — this
     // is what lets the workers form real micro-batches.
     let receivers: Vec<_> = requests

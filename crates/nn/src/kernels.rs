@@ -291,13 +291,10 @@ impl Matrix {
     /// Bit-identical to [`Matrix::t_matmul`] for every input.
     pub fn t_matmul_with(&self, other: &Matrix, par: Parallelism) -> Matrix {
         assert_eq!(self.rows(), other.rows(), "t_matmul shape mismatch");
-        t_matmul_slices(
-            self.as_slice(),
-            self.cols(),
-            other.as_slice(),
-            other.cols(),
-            par,
-        )
+        let mut out = Matrix::zeros(self.cols(), other.cols());
+        let (ad, k, bd, n) = (self.as_slice(), self.cols(), other.as_slice(), other.cols());
+        t_matmul_slices(ad, k, bd, n, out.as_mut_slice(), par);
+        out
     }
 
     /// `self @ otherᵀ` through the kernel backend `par` selects.
@@ -317,65 +314,84 @@ impl Matrix {
             (self.rows(), other.rows()),
             "matmul_t output shape"
         );
-        let n = other.rows();
-        let k = self.cols();
-        // The scalar matmul_t is a dot product along `k` — vectorizing *that*
-        // would need a horizontal reduction, which reorders the additions.
-        // The SIMD path instead packs `otherᵀ` once and runs the
-        // column-vectorized dense kernel over it: each lane owns one output
-        // element, accumulated in ascending `k` exactly like the scalar dot
-        // product. The packing cost is O(n·k) against an O(m·n·k) product —
-        // and only worth paying when a SIMD tile kernel actually exists on
-        // this CPU; otherwise the Simd pin falls straight through to the
-        // direct blocked t-kernel.
-        let (ad, out) = (self.as_slice(), out.as_mut_slice());
-        match par.backend() {
-            KernelBackend::Simd if n > 0 && k > 0 && KernelBackend::simd_available() => {
-                // Dense (no zero skip): the reference matmul_t never skips.
-                matmul_rows_simd(ad, k, other.transpose().as_slice(), n, out, false)
-            }
-            _ => matmul_t_rows(ad, k, other.as_slice(), n, out),
+        let (ad, k, bd, n) = (self.as_slice(), self.cols(), other.as_slice(), other.rows());
+        matmul_t_slices(ad, k, bd, n, out.as_mut_slice(), par);
+    }
+}
+
+/// `a @ bᵀ` for row-major `a` (`rows × k`) and `b` (`n × k`) given as
+/// slices, so a row range of a taller matrix needs no copy, written into
+/// `out` (`rows × n`, holding zeros): the bits of [`Matrix::matmul_t_with`]
+/// on them as matrices.
+pub(crate) fn matmul_t_slices(
+    ad: &[f32],
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    out: &mut [f32],
+    par: Parallelism,
+) {
+    let rows = out
+        .len()
+        .checked_div(n)
+        .or(ad.len().checked_div(k))
+        .unwrap_or(0);
+    assert!(
+        ad.len() == rows * k && out.len() == rows * n && bd.len() == n * k,
+        "matmul_t shape mismatch"
+    );
+    // The scalar matmul_t is a dot product along `k` — vectorizing *that*
+    // would need a horizontal reduction, which reorders the additions.
+    // The SIMD path instead packs `bᵀ` once and runs the column-vectorized
+    // dense kernel over it: each lane owns one output element, accumulated
+    // in ascending `k` exactly like the scalar dot product. The packing cost
+    // is O(n·k) against an O(rows·n·k) product — and only worth paying when
+    // a SIMD tile kernel actually exists on this CPU; otherwise the Simd pin
+    // falls straight through to the direct blocked t-kernel.
+    match par.backend() {
+        KernelBackend::Simd if n > 0 && k > 0 && KernelBackend::simd_available() => {
+            let bt: Vec<f32> = (0..k)
+                .flat_map(|t| bd.iter().skip(t).step_by(k).copied())
+                .collect();
+            // Dense (no zero skip): the reference matmul_t never skips.
+            matmul_rows_simd(ad, k, &bt, n, out, false)
         }
+        _ => matmul_t_rows(ad, k, bd, n, out),
     }
 }
 
 /// `aᵀ @ b` for row-major `a` (`samples × k`) and `b` (`samples × n`) given
-/// as slices, so one row block of two taller matrices needs no copy. The
-/// zero skip follows [`Matrix::t_matmul`]'s rule over these rows of `b`
-/// alone: the bits of [`Matrix::t_matmul_with`] on the blocks as matrices.
+/// as slices, so one row block of two taller matrices needs no copy,
+/// written into `out` (`k × n`, holding zeros; it may be a row range of a
+/// taller matrix). The zero skip
+/// follows [`Matrix::t_matmul`]'s rule over these rows of `b` alone: the bits
+/// of [`Matrix::t_matmul_with`] on the blocks as matrices.
 pub(crate) fn t_matmul_slices(
     ad: &[f32],
     k: usize,
     bd: &[f32],
     n: usize,
+    out: &mut [f32],
     par: Parallelism,
-) -> Matrix {
+) {
     let samples = ad
         .len()
         .checked_div(k)
         .or(bd.len().checked_div(n))
         .unwrap_or(0);
     assert!(
-        ad.len() == samples * k && bd.len() == samples * n,
+        ad.len() == samples * k && bd.len() == samples * n && out.len() == k * n,
         "t_matmul shape mismatch"
     );
     let skip_zeros = scan_finite(bd);
-    let mut out = Matrix::zeros(k, n);
     // The blocked t_matmul is the reference loop; Simd reads `a` transposed
     // in place and keeps each output row chunk in registers across all
     // samples.
     let simd = par.backend() == KernelBackend::Simd
-        && saxpy_rows_simd(
-            Strided::cols(ad, k, samples),
-            bd,
-            n,
-            out.as_mut_slice(),
-            skip_zeros,
-        );
+        && saxpy_rows_simd(Strided::cols(ad, k, samples), bd, n, out, skip_zeros);
     if !simd {
-        t_matmul_rows(ad, k, bd, n, samples, out.as_mut_slice(), skip_zeros);
+        t_matmul_rows(ad, k, bd, n, samples, out, skip_zeros);
     }
-    out
 }
 
 /// Blocked `matmul` of `a @ b`, accumulating into `out` (`rows × n`).

@@ -13,11 +13,13 @@
 //!
 //! Row-stacked operands (`blocks` equal row blocks, one per copy of a shared
 //! sub-network) get their weight gradients summed block by block, last block
-//! first: [`Tape::linear_blocks`], [`Tape::pair_linear`] and
-//! [`Tape::block_dot`]. That is the order in which
-//! one tape branch per block, each with its own copy of the weight, would
-//! deliver its gradient to the store, so stacking the branches leaves every
-//! gradient bit unchanged.
+//! first: [`Tape::linear_blocks`] and [`Tape::block_dot`]. That is the order
+//! in which one tape branch per block, each with its own copy of the weight,
+//! would deliver its gradient to the store, so stacking the branches leaves
+//! every gradient bit unchanged. [`Tape::pair_linear`] with `e` rows instead
+//! sums the blocks of its incoming gradient before its products, which are
+//! linear in it: its bias gradient keeps those bits, while its weight, `e`
+//! and input gradients differ from the per-block order by rounding.
 //!
 //! A tape keeps the buffers of the matrices it is done with and hands them
 //! out again for new ones, and [`Tape::reset`] keeps every buffer for the next
@@ -28,7 +30,7 @@
 //! Gradient correctness for every op is checked against central finite
 //! differences in this module's tests.
 
-use crate::kernels::{t_matmul_slices, Parallelism};
+use crate::kernels::{matmul_t_slices, t_matmul_slices, Parallelism};
 use crate::matrix::{Matrix, Weights};
 use crate::params::{ParamId, ParamStore};
 
@@ -228,8 +230,9 @@ pub struct Tape {
     /// the scalar kernels, so this changes wall clock, never results.
     par: Parallelism,
     spare: Spare,
-    /// Columns of `g · wᵀ` that backward computed for [`Tape::linear`] and
-    /// [`Tape::pair_linear`] inputs, so tests can see which it skipped.
+    /// Columns of the input-gradient products (`g · wᵀ`) that backward
+    /// computed for [`Tape::linear`] and [`Tape::pair_linear`] inputs, so
+    /// tests can see which it skipped.
     #[cfg(test)]
     input_grad_cols: usize,
 }
@@ -367,14 +370,25 @@ impl Tape {
     /// ascending order from `+0.0`, the bits of a [`Tape::linear`] on the
     /// concatenation (see [`Matrix::matmul_acc_with`]).
     ///
-    /// Backward gives `w` the sum of one `t_matmul` of the concatenated
-    /// block `i` per block and `bias` the sum of one column sum per block,
-    /// last block first; each part that needs a gradient the same block sum
-    /// of its columns of `g · wᵀ`; and row `i` of `e` the column sums of
-    /// block `i` of its columns of `g · wᵀ`. Columns of `g · wᵀ` that belong
-    /// to parts before the first one needing a gradient are never computed,
-    /// so a constant leading part (the features ahead of a learned latent)
-    /// costs no input gradient at all.
+    /// Backward writes `G_k` for block `k` of the incoming gradient, `c_k`
+    /// for its column sums (from `+0.0`, in row order) and `S` for
+    /// `G_{blocks−1} + … + G_0` (from `+0.0`, last block first). Every
+    /// product is linear in `G`, so it runs once on `S` or on the `c_k`
+    /// instead of once per block:
+    ///
+    /// * each part's rows of `w` get `partᵀ · S` (a `t_matmul` over `n`
+    ///   rows), and row `j` of `w`'s `e` rows gets `Σ_k e_k[j] · c_k`;
+    /// * `bias` gets `Σ_k c_k`;
+    /// * each part that needs a gradient gets `S · w[its rows]ᵀ`, and row
+    ///   `k` of `e` gets `c_k · w[e rows]ᵀ`; a constant part (the features
+    ///   ahead of a learned latent) costs no input gradient at all.
+    ///
+    /// Every sum over blocks runs from `+0.0`, last block first, and each
+    /// product in its kernel's order. The bias gradient that reaches the
+    /// store is the per-block order's, bit for bit; the others differ from a
+    /// per-block `t_matmul` and `g · wᵀ` by rounding. Without an `e`
+    /// there is one block and `S` is `G` itself, so every gradient is that
+    /// of [`Tape::linear`] on the concatenation.
     pub fn pair_linear(&mut self, parts: &[Var], e: Option<Var>, w: Var, bias: Var) -> Var {
         assert!(!parts.is_empty(), "pair_linear needs a part");
         let wm = &self.nodes[w.0].value;
@@ -733,7 +747,9 @@ impl Tape {
                         let dw = sum_blocks_last_first(*blocks, |k| {
                             let block = k * rows..(k + 1) * rows;
                             let (xb, gb) = (xv.row_range(block.clone()), grad.row_range(block));
-                            t_matmul_slices(xb, xv.cols(), gb, grad.cols(), par)
+                            let mut dw = Matrix::zeros(xv.cols(), grad.cols());
+                            t_matmul_slices(xb, xv.cols(), gb, grad.cols(), dw.as_mut_slice(), par);
+                            dw
                         });
                         deltas.push((*w, dw));
                     }
@@ -742,67 +758,80 @@ impl Tape {
                 Op::PairLinear(parts, e, w, b) => {
                     let (em, wm) = (e.map(|e| &self.nodes[e].value), &self.nodes[*w].value);
                     let blocks = em.map_or(1, Matrix::rows);
-                    let n = grad.rows() / blocks;
+                    let (n, m) = (grad.rows() / blocks, grad.cols());
                     let e_at = wm.rows() - em.map_or(0, Matrix::cols);
-                    let block = |k: usize| grad.row_range(k * n..(k + 1) * n);
+                    // Row k of `c` is block k's column sums.
+                    let mut c = spare.zeros(blocks, m);
+                    for k in 0..blocks {
+                        let ck = c.row_mut(k);
+                        for r in k * n..(k + 1) * n {
+                            for (o, &g) in ck.iter_mut().zip(grad.row(r)) {
+                                *o += g;
+                            }
+                        }
+                    }
                     if need(*b) {
-                        let db =
-                            sum_blocks_last_first(blocks, |k| grad.col_sums_of(k * n..(k + 1) * n));
+                        let mut db = spare.zeros(1, m);
+                        add_chunks_last_first(c.as_slice(), db.as_mut_slice());
                         deltas.push((*b, db));
                     }
+                    // Every product below is linear in the block's rows of
+                    // `g`, so the blocks are summed first: `s = Σ_k G_k`.
+                    let summed = (blocks > 1).then(|| {
+                        let mut s = spare.zeros(n, m);
+                        add_chunks_last_first(grad.as_slice(), s.as_mut_slice());
+                        s
+                    });
+                    let s = summed.as_ref().unwrap_or(&grad).as_slice();
                     if need(*w) {
-                        // Block k's left operand is `[parts | e_k]`: the
-                        // parts are copied once, the e columns per block.
-                        let mut cat = spare.zeros(n, wm.rows());
+                        // Each part's rows of w get `partᵀ · s`; row j of the
+                        // e rows gets `Σ_k e_k[j] · c_k`.
+                        let mut dw = spare.zeros(wm.rows(), m);
                         for &(p, at) in parts {
                             let pm = &self.nodes[p].value;
-                            for r in 0..n {
-                                cat.row_mut(r)[at..at + pm.cols()].copy_from_slice(pm.row(r));
-                            }
+                            let rows = &mut dw.as_mut_slice()[at * m..(at + pm.cols()) * m];
+                            t_matmul_slices(pm.as_slice(), pm.cols(), s, m, rows, par);
                         }
-                        let dw = sum_blocks_last_first(blocks, |k| {
-                            if let Some(em) = em {
-                                for r in 0..n {
-                                    cat.row_mut(r)[e_at..].copy_from_slice(em.row(k));
+                        if let Some(em) = em {
+                            for j in 0..em.cols() {
+                                let row = dw.row_mut(e_at + j);
+                                for k in (0..blocks).rev() {
+                                    let ekj = em.get(k, j);
+                                    for (o, &cv) in row.iter_mut().zip(c.row(k)) {
+                                        *o += ekj * cv;
+                                    }
                                 }
                             }
-                            t_matmul_slices(cat.as_slice(), cat.cols(), block(k), grad.cols(), par)
-                        });
-                        spare.put(cat);
+                        }
                         deltas.push((*w, dw));
                     }
-                    // `g · wᵀ`, over w's rows from the first input that
-                    // needs a delta on.
-                    let first = parts
-                        .iter()
-                        .find(|&&(p, _)| need(p))
-                        .map(|&(_, at)| at)
-                        .or(e.is_some_and(need).then_some(e_at));
-                    if let Some(first) = first {
-                        let w_tail = wm.row_range(first..wm.rows()).to_vec();
-                        let w_tail = Matrix::from_vec(wm.rows() - first, wm.cols(), w_tail);
+                    // `s · wᵀ` over each part's own rows of w, only for the
+                    // parts that need a delta.
+                    for &(p, at) in parts.iter().filter(|&&(p, _)| need(p)) {
+                        let cols = self.nodes[p].value.cols();
                         #[cfg(test)]
                         {
-                            self.input_grad_cols += w_tail.rows();
+                            self.input_grad_cols += cols;
                         }
-                        let mut gx = spare.zeros(grad.rows(), w_tail.rows());
-                        grad.matmul_t_into(&w_tail, &mut gx, par);
-                        for &(p, at) in parts.iter().filter(|&&(p, _)| need(p)) {
-                            let (c0, cols) = (at - first, self.nodes[p].value.cols());
-                            let dp = sum_blocks_last_first(blocks, |k| {
-                                Matrix::from_fn(n, cols, |r, c| gx.get(k * n + r, c0 + c))
-                            });
-                            deltas.push((p, dp));
+                        let mut dp = spare.zeros(n, cols);
+                        let wp = wm.row_range(at..at + cols);
+                        matmul_t_slices(s, m, wp, cols, dp.as_mut_slice(), par);
+                        deltas.push((p, dp));
+                    }
+                    // Row k of e's delta is `c_k · w[e rows]ᵀ`.
+                    if let Some((e, em)) = e.zip(em).filter(|&(e, _)| need(e)) {
+                        #[cfg(test)]
+                        {
+                            self.input_grad_cols += em.cols();
                         }
-                        if let Some((e, em)) = e.zip(em).filter(|&(e, _)| need(e)) {
-                            let mut de = Matrix::zeros(blocks, em.cols());
-                            for k in 0..blocks {
-                                let sums = gx.col_sums_of(k * n..(k + 1) * n);
-                                de.row_mut(k).copy_from_slice(&sums.row(0)[e_at - first..]);
-                            }
-                            deltas.push((e, de));
-                        }
-                        spare.put(gx);
+                        let mut de = spare.zeros(blocks, em.cols());
+                        let we = wm.row_range(e_at..wm.rows());
+                        matmul_t_slices(c.as_slice(), m, we, em.cols(), de.as_mut_slice(), par);
+                        deltas.push((e, de));
+                    }
+                    spare.put(c);
+                    if let Some(s) = summed {
+                        spare.put(s);
                     }
                     spare.put(grad);
                 }
@@ -1080,6 +1109,18 @@ fn sum_blocks_last_first(blocks: usize, mut f: impl FnMut(usize) -> Matrix) -> M
     acc
 }
 
+/// Adds `src`'s consecutive `out.len()`-long chunks onto `out`, last chunk
+/// first.
+fn add_chunks_last_first(src: &[f32], out: &mut [f32]) {
+    let chunks = src.rchunks_exact(out.len().max(1));
+    assert!(chunks.remainder().is_empty(), "src is not whole chunks");
+    for chunk in chunks {
+        for (o, &v) in out.iter_mut().zip(chunk) {
+            *o += v;
+        }
+    }
+}
+
 #[inline]
 fn stable_sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
@@ -1104,6 +1145,7 @@ fn stable_softplus(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::KernelBackend;
     use crate::rng;
     use rand::Rng;
 
@@ -1480,6 +1522,72 @@ mod tests {
         assert_eq!(bits(&y_cat), bits(&y_split));
         for (c, s) in g_cat.iter().zip(&g_split) {
             assert_eq!(bits(c), bits(s));
+        }
+    }
+
+    #[test]
+    fn pair_linear_backward_sums_blocks_first_bitwise() {
+        // CardNet's first layer: [x | lat | e_k] · w + b over 5 blocks, fed
+        // a gradient G with zeros of both signs and one all-zero column.
+        let (n, blocks, m) = (4, 5, 6);
+        let mut rng = rng::seeded(71);
+        let x = Matrix::from_fn(n, 3, |_, _| f32::from(u8::from(rng.gen_bool(0.5))));
+        let mut store = ParamStore::new();
+        let lat = uniform(&mut store, "lat", n, 2, 72);
+        let e = uniform(&mut store, "e", blocks, 2, 73);
+        let w = uniform(&mut store, "w", 7, m, 74);
+        let b = uniform(&mut store, "b", 1, m, 75);
+        let g = Matrix::from_fn(blocks * n, m, |row, col| match (col, (row * m + col) % 5) {
+            (2, _) if row % 2 == 0 => 0.0,
+            (2, _) | (_, 1) => -0.0,
+            (_, 0) => 0.0,
+            // Magnitudes spread over two decades, so that the order of a sum
+            // shows in its rounding.
+            _ => rng.gen_range(-1.0..1.0) / rng.gen_range(0.01..1.0),
+        });
+
+        // The documented order as plain loops, every sum from +0.0: c_k,
+        // block k's column sums in row order; s = G_{blocks−1} + … + G_0.
+        let last_first =
+            |f: &dyn Fn(usize) -> f32| (0..blocks).rev().fold(0.0, |acc, k| acc + f(k));
+        let c = Matrix::from_fn(blocks, m, |k, col| {
+            (0..n).fold(0.0, |acc, r| acc + g.get(k * n + r, col))
+        });
+        let s = Matrix::from_fn(n, m, |r, col| last_first(&|k| g.get(k * n + r, col)));
+        let (lm, em, wm) = (store.value(lat), store.value(e), store.value(w));
+        let xl = Matrix::hconcat(&[&x, lm]);
+        let want_w = Matrix::from_fn(7, m, |row, col| match row {
+            0..=4 => (0..n).fold(0.0, |acc, r| acc + xl.get(r, row) * s.get(r, col)),
+            _ => last_first(&|k| em.get(k, row - 5) * c.get(k, col)),
+        });
+        let want_b = Matrix::from_fn(1, m, |_, col| last_first(&|k| c.get(k, col)));
+        let dot = |a: &[f32], b: &[f32]| a.iter().zip(b).fold(0.0, |acc, (a, b)| acc + a * b);
+        let want_lat = Matrix::from_fn(n, 2, |r, j| dot(s.row(r), wm.row(3 + j)));
+        let want_e = Matrix::from_fn(blocks, 2, |k, j| dot(c.row(k), wm.row(5 + j)));
+
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for backend in [KernelBackend::Blocked, KernelBackend::Simd] {
+            store.zero_grads();
+            let mut t = Tape::with_parallelism(Parallelism::serial().with_backend(backend));
+            let xv = t.input(x.clone());
+            let (lv, ev) = (t.param(&store, lat), t.param(&store, e));
+            let (wv, bv) = (t.param(&store, w), t.param(&store, b));
+            let y = t.pair_linear(&[xv, lv], Some(ev), wv, bv);
+            let gv = t.input(g.clone());
+            let yg = t.mul(y, gv);
+            let l = t.sum_all(yg);
+            t.backward(l, &mut store);
+            // The input gradients span lat's 2 rows of w and e's 2.
+            assert_eq!(t.input_grad_cols, 4);
+            for (id, want) in [(w, &want_w), (b, &want_b), (lat, &want_lat), (e, &want_e)] {
+                assert_eq!(
+                    bits(store.grad(id)),
+                    bits(want),
+                    "{} under {}",
+                    store.name(id),
+                    backend.label()
+                );
+            }
         }
     }
 
