@@ -27,6 +27,8 @@
 //! ladders). Scalar `estimate` calls remain bit-identical to the prepared
 //! paths.
 
+#![forbid(unsafe_code)]
+
 pub mod db_se;
 pub mod db_us;
 pub mod dln;

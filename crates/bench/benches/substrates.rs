@@ -1,10 +1,11 @@
 //! Criterion micro-benchmarks of the substrate hot paths: distance kernels,
-//! exact selection indexes, feature extraction, and the NN engine's matmul.
+//! exact selection indexes, feature extraction, and the NN engine's
+//! products at CardNet's own shapes.
 
 use cardest_data::dist;
 use cardest_data::synth::{ed_aminer, eu_glove, hm_imagenet, jc_bms, SynthConfig};
 use cardest_fx::build_extractor;
-use cardest_nn::Matrix;
+use cardest_nn::{Matrix, Parallelism, ParamStore};
 use cardest_select::build_selector;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -68,13 +69,28 @@ fn bench_feature_extraction(c: &mut Criterion) {
 }
 
 fn bench_nn(c: &mut Criterion) {
-    let a = Matrix::from_fn(64, 256, |r, cl| ((r * cl) % 7) as f32 * 0.1);
-    let b = Matrix::from_fn(256, 96, |r, cl| ((r + cl) % 5) as f32 * 0.1);
-    let mut g = c.benchmark_group("nn_engine");
-    g.bench_function("matmul_64x256x96", |bench| {
-        bench.iter(|| black_box(a.matmul(black_box(&b))))
+    // Φ's shapes on the SIMD tile: a post-ReLU layer for one query at the
+    // mean τ (11 distance rows, half of them zero), and a 64-sample weight
+    // gradient `hᵀ·G`.
+    let relu = |r: usize, cl: usize| {
+        let v = ((r * 7 + cl * 3) % 11) as f32 * 0.1 - 0.5;
+        v.max(0.0)
+    };
+    let h = Matrix::from_fn(11, 96, relu);
+    let w = Matrix::from_fn(96, 64, |r, cl| ((r + cl) % 5) as f32 * 0.1 - 0.2);
+    let mut store = ParamStore::new();
+    let w = store.register("w", w);
+    let h64 = Matrix::from_fn(64, 96, relu);
+    let g = Matrix::from_fn(64, 64, |r, cl| ((r * cl) % 7) as f32 * 0.1 - 0.3);
+    let par = Parallelism::serial();
+    let mut grp = c.benchmark_group("nn_engine");
+    grp.bench_function("matmul_relu_11x96x64", |bench| {
+        bench.iter(|| black_box(h.matmul_with(store.weights(w), par)))
     });
-    g.finish();
+    grp.bench_function("t_matmul_64x96x64", |bench| {
+        bench.iter(|| black_box(h64.t_matmul_with(black_box(&g), par)))
+    });
+    grp.finish();
 }
 
 criterion_group!(

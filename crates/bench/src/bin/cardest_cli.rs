@@ -23,6 +23,8 @@
 //! (Argument parsing is hand-rolled: the workspace's dependency policy has no
 //! CLI-parser crate, and a handful of subcommands does not justify one.)
 
+#![forbid(unsafe_code)]
+
 use cardest_core::estimator::CardinalityEstimator;
 use cardest_core::model::CardNetConfig;
 use cardest_core::snapshot::Snapshot;

@@ -5,6 +5,8 @@
 //! CARDEST_SCALE=quick cargo run --release -p cardest-bench --bin exp_accuracy
 //! ```
 
+#![forbid(unsafe_code)]
+
 use cardest_bench::report::{evaluate, print_header, print_row};
 use cardest_bench::zoo::{train_model, ModelKind};
 use cardest_bench::{Bundle, Scale};

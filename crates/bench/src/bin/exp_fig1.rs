@@ -2,6 +2,8 @@
 //! (a) cardinality vs. threshold for five random queries, (b) the fraction
 //! of queries per cardinality value at four thresholds.
 
+#![forbid(unsafe_code)]
+
 use cardest_bench::Scale;
 use cardest_data::synth::{hm_imagenet, SynthConfig};
 use rand::seq::SliceRandom;

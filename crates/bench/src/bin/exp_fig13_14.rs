@@ -5,6 +5,8 @@
 //! lookup + verification. Figure 14 fixes θ and sweeps the histogram's size
 //! to show CardNet-A beating even a large histogram.
 
+#![forbid(unsafe_code)]
+
 use cardest_baselines::db_se::GroupHistogram;
 use cardest_baselines::MeanEstimator;
 use cardest_bench::zoo::{cardnet_config, trainer_options};

@@ -1,6 +1,8 @@
 //! Figure 5: MSE and MAPE as functions of the query threshold on the four
 //! default datasets, for the figure-subset models.
 
+#![forbid(unsafe_code)]
+
 use cardest_bench::report::{evaluate_at, print_header, print_row};
 use cardest_bench::zoo::{train_model, ModelKind};
 use cardest_bench::{Bundle, Scale};

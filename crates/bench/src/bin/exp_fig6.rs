@@ -3,6 +3,8 @@
 //! decoders make the extraction lossy; too many add non-increasing points
 //! that are hard to learn — the sweet spot sits in between.
 
+#![forbid(unsafe_code)]
+
 use cardest_bench::report::evaluate;
 use cardest_bench::zoo::{cardnet_config, trainer_options};
 use cardest_bench::{Bundle, Scale};

@@ -8,6 +8,8 @@
 //!
 //! Models are trained once per dataset and reused for both figures.
 
+#![forbid(unsafe_code)]
+
 use cardest_bench::report::{per_query_pairs, print_header, print_row};
 use cardest_bench::zoo::{train_model, ModelKind};
 use cardest_bench::{Bundle, Scale};

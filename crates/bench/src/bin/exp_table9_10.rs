@@ -2,6 +2,8 @@
 //! four default datasets. (The paper reports MB and hours at 1M+ records;
 //! relative ordering is the reproduced shape.)
 
+#![forbid(unsafe_code)]
+
 use cardest_bench::report::{print_header, print_row};
 use cardest_bench::zoo::{train_model, ModelKind};
 use cardest_bench::{Bundle, Scale};

@@ -10,6 +10,8 @@
 //! dataset), the accuracy/timing evaluators, and plain-text table printing
 //! shaped like the paper's artifacts.
 
+#![forbid(unsafe_code)]
+
 pub mod report;
 pub mod zoo;
 

@@ -5,3 +5,5 @@
 //! optimizer correctness, persistence).
 //!
 //! The crate itself exports nothing.
+
+#![forbid(unsafe_code)]

@@ -40,6 +40,8 @@
 //! `--json` machine report including an unsafe/atomics inventory) and exits
 //! nonzero on any finding.
 
+#![forbid(unsafe_code)]
+
 pub mod lex;
 pub mod lockgraph;
 pub mod mutate;

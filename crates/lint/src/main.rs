@@ -11,6 +11,8 @@
 //! cargo run -p cardest-lint -- PATH            # lint a different workspace root
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -16,24 +16,24 @@
 //!   (binary features, post-ReLU activations) and `t_matmul` take the
 //!   reference's own saxpy order instead, whose zero skip drops whole rows
 //!   of work;
-//! * the *SIMD* kernels ([`KernelBackend::Simd`]) run the same orders through
-//!   explicit `core::arch` AVX2 / AVX-512F intrinsics behind runtime feature
-//!   detection. Vector **lanes are output columns**, never partial sums of
-//!   one element: each lane accumulates its own output element with one
-//!   `mul` + one `add` per ascending-`k` step, so no horizontal reduction
-//!   exists to reorder — the per-element operation sequence is the scalar
-//!   one, instruction for instruction (and the intrinsics never use FMA,
-//!   whose single rounding would change bits). `matmul_t`, whose scalar form
-//!   is a dot product along `k`, is packed through a transpose first so its
-//!   SIMD form also vectorizes across output columns instead of reducing
-//!   across lanes. The zero-skip saxpy is one register-resident row kernel
-//!   per ISA over a *strided* left operand (element `(i, t)` at
-//!   `a[i·row_step + t·t_step]`), so it computes both the sparse-left
-//!   `A·B` and `t_matmul`'s `Aᵀ·B` without packing: a row's output chunk
-//!   (up to 128 columns in AVX-512 registers, 64 in AVX2, the last vector
-//!   masked) is loaded from `out` once, its kept terms — listed per block
-//!   without a data-dependent branch — are added in ascending order, and
-//!   the chunk is stored once.
+//! * the *SIMD* kernels ([`KernelBackend::Simd`]) are one register tile
+//!   per ISA, explicit `core::arch` AVX2 / AVX-512F intrinsics behind
+//!   runtime feature detection, which all three products call. Vector
+//!   **lanes are output columns**, never partial sums of one element: each
+//!   lane accumulates its own output element with one `mul` + one `add` per
+//!   ascending-`k` step, so no horizontal reduction exists to reorder — the
+//!   per-element operation sequence is the scalar one, instruction for
+//!   instruction (and the intrinsics never use FMA, whose single rounding
+//!   would change bits). The tile reads a *strided* left operand (element
+//!   `(i, t)` at `a[i·row_step + t·t_step]`), so it computes `A·B` and
+//!   `t_matmul`'s `Aᵀ·B` without packing; `matmul_t`, whose scalar form is
+//!   a dot product along `k`, packs `bᵀ` first so it too vectorizes across
+//!   output columns. A few output rows × up to 96 columns (AVX-512) stay in
+//!   registers across every term. The zero skip is a per-`(row, t)` lane
+//!   mask rather than a branch: a skipped term's product is computed but
+//!   its sum is not written back (AVX2 adds `-0.0` in its place), which is
+//!   exact whatever `out` holds — adding the product itself would turn a
+//!   `-0.0` in `out` into `+0.0`.
 //!
 //! Floating-point addition is deterministic for a fixed operand order, so
 //! "same per-element order" ⇒ "same bits" — for finite values, signed zeros,
@@ -150,7 +150,8 @@ impl KernelBackend {
     }
 }
 
-/// Rows per register micro-tile in the blocked `matmul`.
+/// Rows per register micro-tile in the blocked `matmul` and in the AVX-512
+/// tile.
 const MR: usize = 4;
 /// Columns per register micro-tile in the blocked `matmul` (two 8-lane f32
 /// vectors — fixed width so the inner loops vectorize).
@@ -263,27 +264,26 @@ impl Matrix {
         let b = b.as_slice();
         let n = acc.cols();
         let k = self.cols();
-        let backend = par.backend();
-        // Per-call kernel choice — all orders are bit-identical, so this is
-        // purely a throughput decision: a sparse left operand (binary
-        // features, post-ReLU activations) favors the saxpy order whose zero
-        // skip drops whole rows of work; a dense one favors register tiles.
-        let sparse_left = skip_zeros && {
-            let nonzero = self.as_slice().iter().filter(|&&v| v != 0.0).count();
-            4 * nonzero < 3 * self.len().max(1)
-        };
         let (ad, out) = (self.as_slice(), acc.as_mut_slice());
-        if sparse_left {
-            let simd = backend == KernelBackend::Simd
-                && saxpy_rows_simd(Strided::rows(ad, k), b, n, out, true);
-            if !simd {
-                matmul_rows_saxpy(ad, k, b, n, out);
-            }
+        if par.backend() == KernelBackend::Simd
+            && tile_simd(Strided::rows(ad, k), b, n, out, skip_zeros)
+        {
             return;
         }
-        match backend {
-            KernelBackend::Blocked => matmul_rows(ad, k, b, n, out, skip_zeros),
-            KernelBackend::Simd => matmul_rows_simd(ad, k, b, n, out, skip_zeros),
+        // The blocked tier picks an order per call — both are
+        // bit-identical, so this is purely a throughput decision: a sparse
+        // left operand (binary features, post-ReLU activations) takes the
+        // saxpy order, whose zero skip drops whole rows of work; a dense one
+        // takes register tiles. The SIMD tile applies the skip as a lane
+        // mask inside one order, so it never counts.
+        let sparse_left = skip_zeros && {
+            let nonzero = ad.iter().filter(|&&v| v != 0.0).count();
+            4 * nonzero < 3 * ad.len().max(1)
+        };
+        if sparse_left {
+            matmul_rows_saxpy(ad, k, b, n, out);
+        } else {
+            matmul_rows(ad, k, b, n, out, skip_zeros);
         }
     }
 
@@ -343,21 +343,24 @@ pub(crate) fn matmul_t_slices(
     // The scalar matmul_t is a dot product along `k` — vectorizing *that*
     // would need a horizontal reduction, which reorders the additions.
     // The SIMD path instead packs `bᵀ` once and runs the column-vectorized
-    // dense kernel over it: each lane owns one output element, accumulated
-    // in ascending `k` exactly like the scalar dot product. The packing cost
+    // tile over it: each lane owns one output element, accumulated in
+    // ascending `k` exactly like the scalar dot product. The packing cost
     // is O(n·k) against an O(rows·n·k) product — and only worth paying when
-    // a SIMD tile kernel actually exists on this CPU; otherwise the Simd pin
-    // falls straight through to the direct blocked t-kernel.
-    match par.backend() {
-        KernelBackend::Simd if n > 0 && k > 0 && KernelBackend::simd_available() => {
-            let bt: Vec<f32> = (0..k)
-                .flat_map(|t| bd.iter().skip(t).step_by(k).copied())
-                .collect();
-            // Dense (no zero skip): the reference matmul_t never skips.
-            matmul_rows_simd(ad, k, &bt, n, out, false)
+    // a SIMD tile actually exists on this CPU; otherwise the Simd pin falls
+    // straight through to the direct blocked t-kernel.
+    if par.backend() == KernelBackend::Simd && KernelBackend::simd_available() && n > 0 && k > 0 {
+        let mut bt = vec![0.0; k * n];
+        for (t, bt_row) in bt.chunks_exact_mut(n).enumerate() {
+            for (o, b_row) in bt_row.iter_mut().zip(bd.chunks_exact(k)) {
+                *o = b_row[t];
+            }
         }
-        _ => matmul_t_rows(ad, k, bd, n, out),
+        // Dense (no zero skip): the reference matmul_t never skips.
+        if tile_simd(Strided::rows(ad, k), &bt, n, out, false) {
+            return;
+        }
     }
+    matmul_t_rows(ad, k, bd, n, out);
 }
 
 /// `aᵀ @ b` for row-major `a` (`samples × k`) and `b` (`samples × n`) given
@@ -385,10 +388,9 @@ pub(crate) fn t_matmul_slices(
     );
     let skip_zeros = scan_finite(bd);
     // The blocked t_matmul is the reference loop; Simd reads `a` transposed
-    // in place and keeps each output row chunk in registers across all
-    // samples.
+    // in place and keeps each output tile in registers across all samples.
     let simd = par.backend() == KernelBackend::Simd
-        && saxpy_rows_simd(Strided::cols(ad, k, samples), bd, n, out, skip_zeros);
+        && tile_simd(Strided::cols(ad, k, samples), bd, n, out, skip_zeros);
     if !simd {
         t_matmul_rows(ad, k, bd, n, samples, out, skip_zeros);
     }
@@ -498,8 +500,8 @@ fn matmul_row_block<const M: usize>(
 }
 
 /// The dynamic-width last column tile of a row block (columns `j0..n`,
-/// `n - j0 < NR`), shared by the blocked and SIMD kernels — register
-/// accumulators, ascending `k`, the scalar zero-skip decision per `(row, k)`.
+/// `n - j0 < NR`) — register accumulators, ascending `k`, the scalar
+/// zero-skip decision per `(row, k)`.
 // lint: hot-path
 fn matmul_row_tail<const M: usize>(
     a_rows: [&[f32]; M],
@@ -609,39 +611,8 @@ fn matmul_t_rows(ad: &[f32], kk: usize, bd: &[f32], n: usize, out: &mut [f32]) {
     }
 }
 
-/// [`matmul_rows`] through the explicit-SIMD tile kernel when this CPU has
-/// one, else the blocked kernel — bit-identical either way, so selecting
-/// [`KernelBackend::Simd`] is always safe.
-fn matmul_rows_simd(
-    ad: &[f32],
-    kk: usize,
-    bd: &[f32],
-    n: usize,
-    out: &mut [f32],
-    skip_zeros: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    match simd_level() {
-        SimdLevel::Avx512 => {
-            // SAFETY: simd_level() observed AVX-512F via runtime detection,
-            // satisfying the target_feature precondition; the slice/dims
-            // contract (`ad` holds a row of length `kk` per row of `out`,
-            // `bd` is `kk x n` row-major, `out.len()` a multiple of `n`) is
-            // the same one the scalar kernel is called under.
-            return unsafe { x86::matmul_rows_avx512(ad, kk, bd, n, out, skip_zeros) };
-        }
-        SimdLevel::Avx2 => {
-            // SAFETY: simd_level() observed AVX2 via runtime detection;
-            // slice/dims contract as above.
-            return unsafe { x86::matmul_rows_avx2(ad, kk, bd, n, out, skip_zeros) };
-        }
-        SimdLevel::None => {}
-    }
-    matmul_rows(ad, kk, bd, n, out, skip_zeros)
-}
-
 /// A left operand read in place: element `(i, t)` (output row `i`, inner
-/// term `t`) lives at `data[i·row_step + t·t_step]`, so one saxpy kernel
+/// term `t`) lives at `data[i·row_step + t·t_step]`, so one tile kernel
 /// computes `A·B` ([`Strided::rows`]) and `Aᵀ·B` ([`Strided::cols`])
 /// without packing either.
 #[derive(Clone, Copy)]
@@ -683,29 +654,26 @@ impl<'a> Strided<'a> {
     }
 }
 
-/// The register-resident zero-skip saxpy (`out += lhs · bd` over the rows
-/// of `out`) when this CPU has an explicit-SIMD kernel, returning `false`
-/// without touching `out` when it has none, so the caller runs its blocked
-/// twin.
-fn saxpy_rows_simd(
-    lhs: Strided<'_>,
-    bd: &[f32],
-    n: usize,
-    out: &mut [f32],
-    skip_zeros: bool,
-) -> bool {
+/// `out += lhs · bd` over the rows of `out` through this CPU's register
+/// tile, returning `false` without touching `out` when it has none, so the
+/// caller runs its blocked twin. Each element continues from its value in
+/// `out` through ascending `t`, one `mul` and one `add` per term; with
+/// `skip_zeros`, which callers set only when `bd` is finite, a term whose
+/// `a` is `±0.0` is not added.
+#[allow(unsafe_code)]
+fn tile_simd(lhs: Strided<'_>, bd: &[f32], n: usize, out: &mut [f32], skip_zeros: bool) -> bool {
     #[cfg(target_arch = "x86_64")]
     match simd_level() {
         SimdLevel::Avx512 => {
             // SAFETY: simd_level() observed AVX-512F via runtime detection,
             // the kernel's only unchecked precondition; it asserts bounds.
-            unsafe { x86::saxpy_rows_avx512(lhs, bd, n, out, skip_zeros) };
+            unsafe { x86::tile_avx512(lhs, bd, n, out, skip_zeros) };
             return true;
         }
         SimdLevel::Avx2 => {
             // SAFETY: simd_level() observed AVX2 via runtime detection;
             // bounds are asserted by the kernel.
-            unsafe { x86::saxpy_rows_avx2(lhs, bd, n, out, skip_zeros) };
+            unsafe { x86::tile_avx2(lhs, bd, n, out, skip_zeros) };
             return true;
         }
         SimdLevel::None => {}
@@ -713,296 +681,77 @@ fn saxpy_rows_simd(
     false
 }
 
-/// Explicit `core::arch::x86_64` kernels (AVX2 and AVX-512F).
+/// Explicit `core::arch::x86_64` register tiles (AVX2 and AVX-512F).
 ///
-/// The bit-identity recipe, shared by every function here:
+/// Each ISA has one kernel: a few output rows × up to `V` vectors of
+/// columns, held in registers across every term of the left operand,
+/// which it reads through [`Strided`] (`A` itself for `matmul`, `Aᵀ` in
+/// place for `t_matmul`). The bit-identity recipe:
 ///
 /// * **lanes are output columns** — lane `l` of an accumulator vector owns
 ///   output element `j0 + l` and nothing else, so there is no horizontal
 ///   reduction anywhere and no operand reassociation to worry about;
-/// * per ascending-`k` step each lane performs exactly `mul` then `add`
-///   (`_mm256_mul_ps` + `_mm256_add_ps`, never an FMA, whose single
+/// * per ascending-`t` step each lane performs exactly `mul` then `add`
+///   (`_mm512_mul_ps` + `_mm512_mask_add_ps`, never an FMA, whose single
 ///   rounding would differ from the scalar two-rounding sequence);
 /// * packed x86 `mulps`/`addps` follow the same IEEE-754 and NaN
 ///   propagation rules as their scalar `mulss`/`addss` forms, so non-finite
 ///   inputs produce the same bits lane-wise;
-/// * the sparse zero-skip is decided per `(row, k)` on the scalar `a` value,
-///   exactly like the reference kernel (the saxpy kernel lists a row's kept
-///   terms first, so a skipped term never reaches its accumulators);
-/// * the tile kernels' column tails (`n % NR`) and row tails (`rows % MR`)
-///   fall back to the shared scalar tail bodies, which keep the same
-///   per-element order; the saxpy kernel masks its last vector instead, so
-///   masked-off lanes are neither read nor written.
+/// * **the zero skip is a lane mask**, decided per `(row, t)` on the scalar
+///   `a` exactly like the reference kernel, and a skipped term leaves its
+///   accumulators' bits alone: AVX-512 does not write its sum back
+///   (`_mm512_mask_add_ps`), and AVX2, which has no masked add, adds
+///   `-0.0` in its place, the one addend that changes no value. Adding the
+///   skipped term's own product would not be exact: that product is
+///   `±0.0`, `out` may hold `-0.0` (a `matmul_acc` partial), and
+///   `-0.0 + +0.0` is `+0.0`. The skipped product is still computed; at
+///   the activations' ~50% density that costs less than listing the kept
+///   terms first, and the loop stays branch-free;
+/// * `n` runs in chunks of up to `V` vectors, the last vector of each
+///   chunk masked on load and store, so masked-off lanes are neither read
+///   nor written; the rows past the last full tile run one at a time.
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 mod x86 {
-    use super::{matmul_row_tail, Strided, MR, NR};
+    use super::{Strided, MR};
     use core::arch::x86_64::*;
-
-    /// AVX2 `matmul`: `MR`-row blocks × `NR`-column tiles,
-    /// two 256-bit accumulators per row.
-    ///
-    /// # Safety
-    /// AVX2 must be available (callers dispatch on runtime detection).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn matmul_rows_avx2(
-        ad: &[f32],
-        kk: usize,
-        bd: &[f32],
-        n: usize,
-        out: &mut [f32],
-        skip_zeros: bool,
-    ) {
-        if n == 0 {
-            return;
-        }
-        let rows = out.len() / n;
-        let a_row = |r: usize| -> &[f32] { &ad[r * kk..(r + 1) * kk] };
-        let mut r = 0;
-        while r + MR <= rows {
-            let a_rows: [&[f32]; MR] = std::array::from_fn(|i| a_row(r + i));
-            row_block_avx2::<MR>(a_rows, bd, kk, n, &mut out[r * n..(r + MR) * n], skip_zeros);
-            r += MR;
-        }
-        while r < rows {
-            let out = &mut out[r * n..(r + 1) * n];
-            row_block_avx2::<1>([a_row(r)], bd, kk, n, out, skip_zeros);
-            r += 1;
-        }
-    }
-
-    /// `M` rows of `a @ b` added into `out`, with two `__m256` accumulators
-    /// per row (one `NR = 16` column tile) loaded from `out`. Mirrors
-    /// [`super::matmul_row_block`] op for op.
-    ///
-    /// # Safety
-    /// AVX2 must be available (the public entry points dispatch on runtime
-    /// detection). Bounds preconditions backing the `get_unchecked`/raw
-    /// pointer reads: every `a_rows[i]` has length `kk`, `bd` has length
-    /// `kk * n`, and `out` has length `M * n` — all established by the
-    /// callers' row slicing.
-    // lint: hot-path
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::needless_range_loop)] // lockstep over three register arrays
-    unsafe fn row_block_avx2<const M: usize>(
-        a_rows: [&[f32]; M],
-        bd: &[f32],
-        kk: usize,
-        n: usize,
-        out: &mut [f32],
-        skip_zeros: bool,
-    ) {
-        let bp = bd.as_ptr();
-        let mut j0 = 0;
-        while j0 + NR <= n {
-            let mut acc_lo = [_mm256_setzero_ps(); M];
-            let mut acc_hi = [_mm256_setzero_ps(); M];
-            for i in 0..M {
-                let op = out.as_ptr().add(i * n + j0);
-                acc_lo[i] = _mm256_loadu_ps(op);
-                acc_hi[i] = _mm256_loadu_ps(op.add(8));
-            }
-            for k in 0..kk {
-                let tile = bp.add(k * n + j0);
-                let b_lo = _mm256_loadu_ps(tile);
-                let b_hi = _mm256_loadu_ps(tile.add(8));
-                for i in 0..M {
-                    let av = *a_rows[i].get_unchecked(k);
-                    if skip_zeros && av == 0.0 {
-                        continue;
-                    }
-                    let va = _mm256_set1_ps(av);
-                    acc_lo[i] = _mm256_add_ps(acc_lo[i], _mm256_mul_ps(va, b_lo));
-                    acc_hi[i] = _mm256_add_ps(acc_hi[i], _mm256_mul_ps(va, b_hi));
-                }
-            }
-            for i in 0..M {
-                let op = out.as_mut_ptr().add(i * n + j0);
-                _mm256_storeu_ps(op, acc_lo[i]);
-                _mm256_storeu_ps(op.add(8), acc_hi[i]);
-            }
-            j0 += NR;
-        }
-        if j0 < n {
-            matmul_row_tail(a_rows, bd, kk, n, j0, out, skip_zeros);
-        }
-    }
-
-    /// AVX-512F `matmul`: one 512-bit accumulator per row
-    /// covers a full `NR = 16` column tile.
-    ///
-    /// # Safety
-    /// AVX-512F must be available (callers dispatch on runtime detection).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn matmul_rows_avx512(
-        ad: &[f32],
-        kk: usize,
-        bd: &[f32],
-        n: usize,
-        out: &mut [f32],
-        skip_zeros: bool,
-    ) {
-        if n == 0 {
-            return;
-        }
-        let rows = out.len() / n;
-        let a_row = |r: usize| -> &[f32] { &ad[r * kk..(r + 1) * kk] };
-        let mut r = 0;
-        while r + MR <= rows {
-            let a_rows: [&[f32]; MR] = std::array::from_fn(|i| a_row(r + i));
-            row_block_avx512::<MR>(a_rows, bd, kk, n, &mut out[r * n..(r + MR) * n], skip_zeros);
-            r += MR;
-        }
-        while r < rows {
-            let out = &mut out[r * n..(r + 1) * n];
-            row_block_avx512::<1>([a_row(r)], bd, kk, n, out, skip_zeros);
-            r += 1;
-        }
-    }
-
-    /// # Safety
-    /// AVX-512F must be available (the public entry points dispatch on
-    /// runtime detection). Bounds preconditions backing the
-    /// `get_unchecked`/raw pointer reads: every `a_rows[i]` has length
-    /// `kk`, `bd` has length `kk * n`, and `out` has length `M * n` — all
-    /// established by the callers' row slicing.
-    // lint: hot-path
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::needless_range_loop)] // lockstep over two register arrays
-    unsafe fn row_block_avx512<const M: usize>(
-        a_rows: [&[f32]; M],
-        bd: &[f32],
-        kk: usize,
-        n: usize,
-        out: &mut [f32],
-        skip_zeros: bool,
-    ) {
-        let bp = bd.as_ptr();
-        let mut j0 = 0;
-        while j0 + NR <= n {
-            let mut acc = [_mm512_setzero_ps(); M];
-            for i in 0..M {
-                acc[i] = _mm512_loadu_ps(out.as_ptr().add(i * n + j0));
-            }
-            for k in 0..kk {
-                let b = _mm512_loadu_ps(bp.add(k * n + j0));
-                for i in 0..M {
-                    let av = *a_rows[i].get_unchecked(k);
-                    if skip_zeros && av == 0.0 {
-                        continue;
-                    }
-                    acc[i] = _mm512_add_ps(acc[i], _mm512_mul_ps(_mm512_set1_ps(av), b));
-                }
-            }
-            for i in 0..M {
-                _mm512_storeu_ps(out.as_mut_ptr().add(i * n + j0), acc[i]);
-            }
-            j0 += NR;
-        }
-        if j0 < n {
-            matmul_row_tail(a_rows, bd, kk, n, j0, out, skip_zeros);
-        }
-    }
 
     /// Lanes per `__m512`.
     const W512: usize = 16;
     /// Lanes per `__m256`.
     const W256: usize = 8;
-    /// Terms listed per pass: a row's kept terms of one block go to a stack
-    /// list first, so the accumulating loop has no data-dependent branch.
-    const BLOCK: usize = 128;
+    /// Vectors per AVX-512 tile row: `MR` × 6 accumulators take 24 of the
+    /// 32 registers, and a 96-column layer runs as one chunk.
+    const V512: usize = 6;
+    /// Rows and vectors per AVX2 tile: 2 × 4 accumulators leave room in
+    /// the 16 registers for `b`, the broadcast and the masks. (4 × 2 ran
+    /// slower.)
+    const M256: usize = 2;
+    const V256: usize = 4;
 
-    /// The kept terms of one block of a row, as `(t - t0, a)`.
-    type TermList = [(u32, f32); BLOCK];
-
-    /// Dispatches `$kernel::<V>` for a column chunk of `$v` vectors
-    /// (`1..=8`), so each width gets its own fully unrolled,
-    /// register-resident body.
-    macro_rules! by_width {
-        ($v:expr, $kernel:ident($($arg:expr),* $(,)?)) => {
-            match $v {
-                1 => $kernel::<1>($($arg),*),
-                2 => $kernel::<2>($($arg),*),
-                3 => $kernel::<3>($($arg),*),
-                4 => $kernel::<4>($($arg),*),
-                5 => $kernel::<5>($($arg),*),
-                6 => $kernel::<6>($($arg),*),
-                7 => $kernel::<7>($($arg),*),
-                8 => $kernel::<8>($($arg),*),
-                _ => unreachable!("chunks hold 1..=8 vectors"),
-            }
-        };
-    }
-
-    /// Lists the terms `t0 .. t0 + len` of row `row` that the zero skip
-    /// keeps (every term when `!skip_zeros`), ascending, without a
-    /// data-dependent branch; returns how many.
-    ///
-    /// # Safety
-    /// `lhs.check` must have covered `row`, and `t0 + len ≤ lhs.terms`,
-    /// `len ≤ BLOCK`.
-    #[inline(always)]
-    unsafe fn keep_terms(
-        lhs: Strided<'_>,
-        row: usize,
-        t0: usize,
-        len: usize,
+    /// One column chunk of `out += lhs · b`: `b` and `out` point at its
+    /// first column, rows `n` floats apart, and `tail` selects the lanes of
+    /// its last vector.
+    #[derive(Clone, Copy)]
+    struct Chunk<'a, K> {
+        lhs: Strided<'a>,
+        b: *const f32,
+        n: usize,
+        out: *mut f32,
+        tail: K,
         skip_zeros: bool,
-        list: &mut TermList,
-    ) -> usize {
-        let at = lhs.data.as_ptr().add(row * lhs.row_step + t0 * lhs.t_step);
-        let mut kept = 0;
-        for dt in 0..len {
-            let a = *at.add(dt * lhs.t_step);
-            list[kept] = (dt as u32, a);
-            kept += usize::from(!skip_zeros || a != 0.0);
-        }
-        kept
     }
 
-    /// Feeds `step(t, a)` every kept term of row `row` in ascending `t`,
-    /// starting from the first block's list (`kept` entries, filled by
-    /// [`keep_terms`]) and listing each later block in turn.
-    ///
-    /// # Safety
-    /// As [`keep_terms`], for every block of `lhs.terms`.
-    #[inline(always)]
-    unsafe fn walk_terms(
-        lhs: Strided<'_>,
-        row: usize,
-        skip_zeros: bool,
-        list: &mut TermList,
-        mut kept: usize,
-        mut step: impl FnMut(usize, f32),
-    ) {
-        let mut t0 = 0;
-        loop {
-            for &(dt, a) in &list[..kept] {
-                step(t0 + dt as usize, a);
-            }
-            t0 += BLOCK;
-            if t0 >= lhs.terms {
-                return;
-            }
-            let len = (lhs.terms - t0).min(BLOCK);
-            kept = keep_terms(lhs, row, t0, len, skip_zeros, list);
-        }
-    }
-
-    /// AVX-512F zero-skip saxpy: `out[i, ..] += Σ_t lhs(i, t) · b[t, ..]`
-    /// for the rows of `out`
-    /// (`out.len() / n` of them), terms in ascending `t`. Each row runs
-    /// through column chunks of up to eight 512-bit accumulators (128
-    /// columns, the last vector masked): the chunk is loaded from `out`
-    /// once, every kept term adds `a · b` (one `mul`, one `add`), the
-    /// reference's per-`(row, t)` zero skip drops the rest when
-    /// `skip_zeros`, and the chunk is stored once.
+    /// AVX-512F `out[i, ..] += Σ_t lhs(i, t) · b[t, ..]` for the
+    /// `out.len() / n` rows of `out`, terms in ascending `t`, `a == 0.0`
+    /// terms masked off when `skip_zeros`.
     ///
     /// # Safety
     /// AVX-512F must be available (callers dispatch on runtime detection).
     /// Bounds are asserted here: `lhs` must cover every row of `out` over
     /// all its terms, and `bd` must hold `lhs.terms × n`.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn saxpy_rows_avx512(
+    pub unsafe fn tile_avx512(
         lhs: Strided<'_>,
         bd: &[f32],
         n: usize,
@@ -1014,80 +763,100 @@ mod x86 {
         }
         let rows = out.len() / n;
         lhs.check(rows);
-        assert!(bd.len() >= lhs.terms * n, "saxpy: b holds too few rows");
-        let mut list: TermList = [(0, 0.0); BLOCK];
+        assert!(bd.len() >= lhs.terms * n, "tile: b holds too few rows");
         let mut j0 = 0;
         while j0 < n {
-            let width = (n - j0).min(8 * W512);
-            let vectors = width.div_ceil(W512);
-            let tail_lanes = width - (vectors - 1) * W512;
-            let tail = ((1u32 << tail_lanes) - 1) as __mmask16;
-            let (b, o) = (bd.as_ptr().add(j0), out.as_mut_ptr().add(j0));
-            let l = &mut list;
-            by_width!(
-                vectors,
-                cols_avx512(lhs, rows, b, n, o, tail, skip_zeros, l)
-            );
+            let width = (n - j0).min(V512 * W512);
+            let tail_lanes = width - (width - 1) / W512 * W512;
+            let c = Chunk {
+                lhs,
+                b: bd.as_ptr().add(j0),
+                n,
+                out: out.as_mut_ptr().add(j0),
+                tail: ((1u32 << tail_lanes) - 1) as __mmask16,
+                skip_zeros,
+            };
+            match width.div_ceil(W512) {
+                1 => rows512::<1>(c, rows),
+                2 => rows512::<2>(c, rows),
+                3 => rows512::<3>(c, rows),
+                4 => rows512::<4>(c, rows),
+                5 => rows512::<5>(c, rows),
+                _ => rows512::<V512>(c, rows),
+            }
             j0 += width;
         }
     }
 
-    /// One column chunk of `V` 512-bit vectors over every row of
-    /// [`saxpy_rows_avx512`]'s `out`, each row's part held in registers
-    /// across all its terms.
+    /// Every row of one chunk: `MR`-row tiles, then one row at a time.
     ///
     /// # Safety
-    /// AVX-512F must be available; `lhs.check(rows)` passed,
-    /// `b` points at `lhs.terms` rows of stride `n` with `(V - 1) · 16` +
-    /// the lanes of `tail` readable in each, and `out` at `rows` rows of
-    /// stride `n` with as many writable.
+    /// As [`tile512`], for rows `0 .. rows`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn rows512<const V: usize>(c: Chunk<'_, __mmask16>, rows: usize) {
+        let mut row = 0;
+        while row + MR <= rows {
+            tile512::<MR, V>(c, row);
+            row += MR;
+        }
+        for row in row..rows {
+            tile512::<1, V>(c, row);
+        }
+    }
+
+    /// Rows `row .. row + M` of one chunk: `M × V` accumulators loaded
+    /// from `out`, every term added under its keep mask, stored once.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; `c.lhs.check` covered the rows;
+    /// `c.b` points at `c.lhs.terms` rows and `c.out` at the rows, each
+    /// with `(V - 1) · 16` lanes plus those of `c.tail` in bounds.
     // lint: hot-path
     #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)] // one column chunk: pointers, dims, mask
-    unsafe fn cols_avx512<const V: usize>(
-        lhs: Strided<'_>,
-        rows: usize,
-        b: *const f32,
-        n: usize,
-        out: *mut f32,
-        tail: __mmask16,
-        skip_zeros: bool,
-        list: &mut TermList,
-    ) {
-        let mask = |v: usize| if v + 1 == V { tail } else { !0 };
-        let first = lhs.terms.min(BLOCK);
-        for row in 0..rows {
-            let kept = keep_terms(lhs, row, 0, first, skip_zeros, list);
-            if kept == 0 && first == lhs.terms {
-                continue; // nothing to add: this row of `out` keeps its bits
-            }
-            let out = out.add(row * n);
-            let mut acc = [_mm512_setzero_ps(); V];
+    unsafe fn tile512<const M: usize, const V: usize>(c: Chunk<'_, __mmask16>, row: usize) {
+        let mask = |v: usize| if v + 1 == V { c.tail } else { !0 };
+        // The lanes a term reaches whatever its `a`: all without the skip.
+        let always: __mmask16 = if c.skip_zeros { 0 } else { !0 };
+        let zero = _mm512_setzero_ps();
+        let out = c.out.add(row * c.n);
+        let mut acc = [[zero; V]; M];
+        for (i, acc) in acc.iter_mut().enumerate() {
             for (v, x) in acc.iter_mut().enumerate() {
-                *x = _mm512_maskz_loadu_ps(mask(v), out.add(v * W512));
+                *x = _mm512_maskz_loadu_ps(mask(v), out.add(i * c.n + v * W512));
             }
-            walk_terms(lhs, row, skip_zeros, list, kept, |t, a| {
-                let (bt, va) = (b.add(t * n), _mm512_set1_ps(a));
-                for (v, x) in acc.iter_mut().enumerate() {
-                    let bv = _mm512_maskz_loadu_ps(mask(v), bt.add(v * W512));
-                    *x = _mm512_add_ps(*x, _mm512_mul_ps(va, bv));
+        }
+        let a = c.lhs.data.as_ptr().add(row * c.lhs.row_step);
+        for t in 0..c.lhs.terms {
+            let bt = c.b.add(t * c.n);
+            let b: [__m512; V] =
+                core::array::from_fn(|v| _mm512_maskz_loadu_ps(mask(v), bt.add(v * W512)));
+            let at = a.add(t * c.lhs.t_step);
+            for (i, acc) in acc.iter_mut().enumerate() {
+                let va = _mm512_set1_ps(*at.add(i * c.lhs.row_step));
+                // `a != 0.0` in every lane; a NaN `a` is kept, as in the
+                // reference.
+                let keep = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(va, zero) | always;
+                for (x, &bv) in acc.iter_mut().zip(&b) {
+                    *x = _mm512_mask_add_ps(*x, keep, *x, _mm512_mul_ps(va, bv));
                 }
-            });
+            }
+        }
+        for (i, acc) in acc.iter().enumerate() {
             for (v, &x) in acc.iter().enumerate() {
-                _mm512_mask_storeu_ps(out.add(v * W512), mask(v), x);
+                _mm512_mask_storeu_ps(out.add(i * c.n + v * W512), mask(v), x);
             }
         }
     }
 
-    /// The AVX2 form of [`saxpy_rows_avx512`]: column chunks of up to
-    /// eight 256-bit accumulators (64 columns), the last vector through
+    /// The AVX2 form of [`tile_avx512`]: `M256`-row tiles over chunks of
+    /// up to `V256` 256-bit vectors, the last through
     /// `maskload`/`maskstore`.
     ///
     /// # Safety
     /// AVX2 must be available (callers dispatch on runtime detection).
-    /// Bounds are asserted as in [`saxpy_rows_avx512`].
+    /// Bounds are asserted as in [`tile_avx512`].
     #[target_feature(enable = "avx2")]
-    pub unsafe fn saxpy_rows_avx2(
+    pub unsafe fn tile_avx2(
         lhs: Strided<'_>,
         bd: &[f32],
         n: usize,
@@ -1099,70 +868,96 @@ mod x86 {
         }
         let rows = out.len() / n;
         lhs.check(rows);
-        assert!(bd.len() >= lhs.terms * n, "saxpy: b holds too few rows");
-        let mut list: TermList = [(0, 0.0); BLOCK];
+        assert!(bd.len() >= lhs.terms * n, "tile: b holds too few rows");
         let mut j0 = 0;
         while j0 < n {
-            let width = (n - j0).min(8 * W256);
-            let vectors = width.div_ceil(W256);
-            let tail_lanes = (width - (vectors - 1) * W256) as i32;
-            let tail = _mm256_cmpgt_epi32(
-                _mm256_set1_epi32(tail_lanes),
-                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-            );
-            let (b, o) = (bd.as_ptr().add(j0), out.as_mut_ptr().add(j0));
-            let l = &mut list;
-            by_width!(vectors, cols_avx2(lhs, rows, b, n, o, tail, skip_zeros, l));
+            let width = (n - j0).min(V256 * W256);
+            let tail_lanes = (width - (width - 1) / W256 * W256) as i32;
+            let c = Chunk {
+                lhs,
+                b: bd.as_ptr().add(j0),
+                n,
+                out: out.as_mut_ptr().add(j0),
+                tail: _mm256_cmpgt_epi32(
+                    _mm256_set1_epi32(tail_lanes),
+                    _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                ),
+                skip_zeros,
+            };
+            match width.div_ceil(W256) {
+                1 => rows256::<1>(c, rows),
+                2 => rows256::<2>(c, rows),
+                3 => rows256::<3>(c, rows),
+                _ => rows256::<V256>(c, rows),
+            }
             j0 += width;
         }
     }
 
-    /// One column chunk of `V` 256-bit vectors of [`saxpy_rows_avx2`].
+    /// Every row of one chunk: `M256`-row tiles, then one row at a time.
     ///
     /// # Safety
-    /// AVX2 must be available; bounds as in [`cols_avx512`], with 8-lane
-    /// vectors and `tail` a `maskload` mask (sign bit set per kept lane).
+    /// As [`tile256`], for rows `0 .. rows`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn rows256<const V: usize>(c: Chunk<'_, __m256i>, rows: usize) {
+        let mut row = 0;
+        while row + M256 <= rows {
+            tile256::<M256, V>(c, row);
+            row += M256;
+        }
+        for row in row..rows {
+            tile256::<1, V>(c, row);
+        }
+    }
+
+    /// The AVX2 form of [`tile512`], whose skipped terms add `-0.0`: AVX2
+    /// has no masked add, and one `or` of the sign bit into the skipped
+    /// product (`±0.0`, as `b` is finite under the skip) costs less than a
+    /// `blendv` of the old and the new sum.
+    ///
+    /// # Safety
+    /// AVX2 must be available; bounds as in [`tile512`], with 8-lane
+    /// vectors and `c.tail` a `maskload` mask (sign bit set per kept lane).
     // lint: hot-path
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)] // one column chunk: pointers, dims, mask
-    unsafe fn cols_avx2<const V: usize>(
-        lhs: Strided<'_>,
-        rows: usize,
-        b: *const f32,
-        n: usize,
-        out: *mut f32,
-        tail: __m256i,
-        skip_zeros: bool,
-        list: &mut TermList,
-    ) {
+    unsafe fn tile256<const M: usize, const V: usize>(c: Chunk<'_, __m256i>, row: usize) {
         let load = |p: *const f32, v: usize| {
             if v + 1 == V {
-                _mm256_maskload_ps(p, tail)
+                _mm256_maskload_ps(p, c.tail)
             } else {
                 _mm256_loadu_ps(p)
             }
         };
-        let first = lhs.terms.min(BLOCK);
-        for row in 0..rows {
-            let kept = keep_terms(lhs, row, 0, first, skip_zeros, list);
-            if kept == 0 && first == lhs.terms {
-                continue; // nothing to add: this row of `out` keeps its bits
-            }
-            let out = out.add(row * n);
-            let mut acc = [_mm256_setzero_ps(); V];
+        // The sign bit a skipped term's product gets: `-0.0` with the skip.
+        let skip_sign = _mm256_set1_ps(if c.skip_zeros { -0.0 } else { 0.0 });
+        let zero = _mm256_setzero_ps();
+        let out = c.out.add(row * c.n);
+        let mut acc = [[zero; V]; M];
+        for (i, acc) in acc.iter_mut().enumerate() {
             for (v, x) in acc.iter_mut().enumerate() {
-                *x = load(out.add(v * W256), v);
+                *x = load(out.add(i * c.n + v * W256), v);
             }
-            walk_terms(lhs, row, skip_zeros, list, kept, |t, a| {
-                let (bt, va) = (b.add(t * n), _mm256_set1_ps(a));
-                for (v, x) in acc.iter_mut().enumerate() {
-                    *x = _mm256_add_ps(*x, _mm256_mul_ps(va, load(bt.add(v * W256), v)));
+        }
+        let a = c.lhs.data.as_ptr().add(row * c.lhs.row_step);
+        for t in 0..c.lhs.terms {
+            let bt = c.b.add(t * c.n);
+            let b: [__m256; V] = core::array::from_fn(|v| load(bt.add(v * W256), v));
+            let at = a.add(t * c.lhs.t_step);
+            for (i, acc) in acc.iter_mut().enumerate() {
+                let va = _mm256_set1_ps(*at.add(i * c.lhs.row_step));
+                // `-0.0` in every lane when the skip drops this term, else
+                // `+0.0`, which leaves a kept term's product as it is.
+                let sign = _mm256_and_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(va, zero), skip_sign);
+                for (x, &bv) in acc.iter_mut().zip(&b) {
+                    *x = _mm256_add_ps(*x, _mm256_or_ps(_mm256_mul_ps(va, bv), sign));
                 }
-            });
+            }
+        }
+        for (i, acc) in acc.iter().enumerate() {
             for (v, &x) in acc.iter().enumerate() {
-                let p = out.add(v * W256);
+                let p = out.add(i * c.n + v * W256);
                 if v + 1 == V {
-                    _mm256_maskstore_ps(p, tail, x);
+                    _mm256_maskstore_ps(p, c.tail, x);
                 } else {
                     _mm256_storeu_ps(p, x);
                 }
@@ -1200,77 +995,71 @@ mod tests {
         }
     }
 
-    /// Each explicit AVX2 and AVX-512F kernel called directly, whenever this
-    /// CPU has its ISA, against its blocked twin bit for bit: the dense tiles
-    /// against `matmul_rows`, the saxpy reading `A` as itself against
-    /// `matmul_rows_saxpy`, and reading `A` transposed against
-    /// `t_matmul_rows`, each onto a non-zero `out` holding `-0.0`s.
-    /// Dispatch picks one ISA per CPU, so without this the AVX2 kernels
-    /// never run on an AVX-512 host.
+    /// Each ISA's tile called directly, whenever this CPU has it, against
+    /// the blocked kernels bit for bit, with the skip on and off: reading
+    /// `A` as itself against `matmul_rows` and transposed against
+    /// `t_matmul_rows`, each onto a non-zero `out` holding `-0.0`s, over
+    /// every remainder of either ISA's row tile and column chunks, with a
+    /// finite right operand and one holding a NaN or ∞ row. Dispatch picks
+    /// one ISA per CPU, so without this the AVX2 tile never runs on an
+    /// AVX-512 host.
     #[cfg(target_arch = "x86_64")]
     #[test]
+    #[allow(unsafe_code)]
     fn every_isa_kernel_matches_the_blocked_kernels() {
-        // SAFETY: the kernels behind these pointers need their ISA; one is
-        // pushed below only after runtime detection found it.
-        type Dense = unsafe fn(&[f32], usize, &[f32], usize, &mut [f32], bool);
-        // SAFETY: as above.
-        type Saxpy = unsafe fn(Strided<'_>, &[f32], usize, &mut [f32], bool);
-        let mut isas: Vec<(&str, Dense, Saxpy)> = Vec::new();
+        // SAFETY: the tile behind the pointer needs its ISA; one is pushed
+        // below only after runtime detection found it.
+        type Tile = unsafe fn(Strided<'_>, &[f32], usize, &mut [f32], bool);
+        let mut isas: Vec<(&str, Tile)> = Vec::new();
         if std::arch::is_x86_feature_detected!("avx2") {
-            isas.push(("avx2", x86::matmul_rows_avx2, x86::saxpy_rows_avx2));
+            isas.push(("avx2", x86::tile_avx2));
         }
         if std::arch::is_x86_feature_detected!("avx512f") {
-            isas.push(("avx512", x86::matmul_rows_avx512, x86::saxpy_rows_avx512));
+            isas.push(("avx512", x86::tile_avx512));
         }
         let value = |i: usize| match i % 7 {
             0 | 3 => 0.0,
             5 => -0.0,
             _ => (i % 13) as f32 * 0.37 - 2.1,
         };
-        let rows = 7;
-        for n in (1..=40).chain([63, 64, 65, 96, 127, 128, 129, 130, 200]) {
-            for kk in [1, 7, 64] {
-                let a: Vec<f32> = (0..rows * kk).map(|i| value(i * 3 + n)).collect();
-                let mut b: Vec<f32> = (0..kk * n).map(|i| value(i + 1) + 0.5).collect();
-                let out0: Vec<f32> = (0..rows * n).map(|i| value(i + 2)).collect();
-                // `A` transposed: `rows` samples into a `kk × n` output.
-                let t_out0: Vec<f32> = (0..kk * n).map(|i| value(i + 4)).collect();
-                let mut g: Vec<f32> = (0..rows * n).map(|i| value(i + 5) - 0.25).collect();
-                for finite in [true, false] {
-                    if !finite {
-                        b[(kk / 2) * n..(kk / 2 + 1) * n].fill(f32::NAN);
-                        g[n..2 * n].fill(f32::INFINITY);
-                    }
-                    let mut want_dense = out0.clone();
-                    matmul_rows(&a, kk, &b, n, &mut want_dense, finite);
-                    let mut want_saxpy = out0.clone();
-                    if finite {
-                        matmul_rows_saxpy(&a, kk, &b, n, &mut want_saxpy);
-                    }
-                    let mut want_t = t_out0.clone();
-                    t_matmul_rows(&a, kk, &g, n, rows, &mut want_t, finite);
-                    for &(isa, dense, saxpy) in &isas {
-                        let case = format!("{isa} n={n} kk={kk} finite={finite}");
-                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        let mut got = out0.clone();
-                        // SAFETY: the ISA was detected above; the slices
-                        // hold a `rows × kk` `a` and a `kk × n` `b`.
-                        unsafe { dense(&a, kk, &b, n, &mut got, finite) };
-                        assert_eq!(bits(&want_dense), bits(&got), "dense tiles {case}");
-                        if finite {
-                            let mut got = out0.clone();
-                            let lhs = Strided::rows(&a, kk);
-                            // SAFETY: the ISA was detected above; the kernel
-                            // asserts its bounds.
-                            unsafe { saxpy(lhs, &b, n, &mut got, true) };
-                            assert_eq!(bits(&want_saxpy), bits(&got), "saxpy A·B {case}");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for rows in 1..=9 {
+            for n in (1..=20).chain([31, 32, 33, 63, 64, 65, 96, 129, 130]) {
+                for kk in [1, 7, 64] {
+                    let a: Vec<f32> = (0..rows * kk).map(|i| value(i * 3 + n)).collect();
+                    let mut b: Vec<f32> = (0..kk * n).map(|i| value(i + 1) + 0.5).collect();
+                    let out0: Vec<f32> = (0..rows * n).map(|i| value(i + 2)).collect();
+                    // `A` transposed: `rows` samples into a `kk × n` output.
+                    let t_out0: Vec<f32> = (0..kk * n).map(|i| value(i + 4)).collect();
+                    let mut g: Vec<f32> = (0..rows * n).map(|i| value(i + 5) - 0.25).collect();
+                    for finite in [true, false] {
+                        if !finite {
+                            b[(kk / 2) * n..(kk / 2 + 1) * n].fill(f32::NAN);
+                            g[(rows / 2) * n..(rows / 2 + 1) * n].fill(f32::INFINITY);
                         }
-                        let mut got = t_out0.clone();
-                        let lhs = Strided::cols(&a, kk, rows);
-                        // SAFETY: the ISA was detected above; the kernel
-                        // asserts its bounds.
-                        unsafe { saxpy(lhs, &g, n, &mut got, finite) };
-                        assert_eq!(bits(&want_t), bits(&got), "saxpy Aᵀ·B {case}");
+                        // The skip applies only to a finite right operand.
+                        let skips: &[bool] = if finite { &[true, false] } else { &[false] };
+                        for &skip in skips {
+                            let mut want = out0.clone();
+                            matmul_rows(&a, kk, &b, n, &mut want, skip);
+                            let mut want_t = t_out0.clone();
+                            t_matmul_rows(&a, kk, &g, n, rows, &mut want_t, skip);
+                            for &(isa, tile) in &isas {
+                                let case = format!(
+                                    "{isa} rows={rows} n={n} kk={kk} finite={finite} skip={skip}"
+                                );
+                                let mut got = out0.clone();
+                                // SAFETY: the ISA was detected above; the
+                                // tile asserts its bounds.
+                                unsafe { tile(Strided::rows(&a, kk), &b, n, &mut got, skip) };
+                                assert_eq!(bits(&want), bits(&got), "A·B {case}");
+                                let mut got = t_out0.clone();
+                                let lhs = Strided::cols(&a, kk, rows);
+                                // SAFETY: as above.
+                                unsafe { tile(lhs, &g, n, &mut got, skip) };
+                                assert_eq!(bits(&want_t), bits(&got), "Aᵀ·B {case}");
+                            }
+                        }
                     }
                 }
             }

@@ -26,9 +26,13 @@
 //! SIMD products keep every output element's scalar accumulation order, so
 //! every backend produces the same bits.
 //!
-//! All `unsafe` code lives in [`kernels`]; clippy checks that every unsafe
-//! block states why it is sound and every unsafe function its contract.
+//! All `unsafe` code lives in [`kernels`], and the compiler keeps it there:
+//! this crate denies `unsafe_code`, allowing it only on the kernels' `x86`
+//! module, their SIMD dispatch and the test that calls each ISA directly
+//! (every other workspace crate forbids it outright). Clippy checks that every unsafe block states why it is sound
+//! and every unsafe function its contract.
 
+#![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 
 pub mod init;

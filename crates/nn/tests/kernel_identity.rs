@@ -199,49 +199,81 @@ fn kernels_bit_identical_at_model_scale() {
     }
 }
 
-/// Every output width from one lane to past one full chunk (128 columns
-/// of AVX-512 accumulators, 64 of AVX2), so every chunk width and masked
-/// tail of the register-resident saxpy kernel runs, at inner dimensions
-/// 1, 7 and 64. Two products per width, each against the scalar reference
-/// on both backends:
+/// The scalar contract of `matmul_acc_with`: each element of `acc`
+/// continues from its current value through ascending `t`, one `mul` and
+/// one `add` per term, skipping `a == 0.0` terms when `b` is finite — the
+/// loop of `Matrix::matmul`, started from `acc` instead of zeros.
+fn matmul_acc_reference(a: &Matrix, b: &Matrix, acc: &mut Matrix) {
+    let skip_zeros = b.all_finite();
+    for i in 0..a.rows() {
+        for (t, &av) in a.row(i).iter().enumerate() {
+            if skip_zeros && av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in acc.row_mut(i).iter_mut().zip(b.row(t)) {
+                *o += av * bv;
+            }
+        }
+    }
+}
+
+/// Every remainder of the SIMD register tile: rows 1..=9 (up to two full
+/// 4-row AVX-512 tiles or four 2-row AVX2 tiles, with every leftover row
+/// count), every output width from one lane to past one 96-column AVX-512
+/// chunk and four 32-column AVX2 chunks (so every chunk width and masked
+/// tail runs), at inner dimensions 1, 7 and 64. Two products per shape,
+/// each against the scalar reference on every backend:
 ///
-/// * sparse-left `matmul_acc_with` split-K, as `Tape::pair_linear` calls
-///   it: `A₁·B₁` into a zeroed accumulator, then `A₂·B₂` onto that
-///   non-zero partial, against `[A₁ | A₂]·[B₁ ; B₂]`;
+/// * split-K `matmul_acc_with`, as `Tape::pair_linear` calls it, onto a
+///   partial that already holds `-0.0`s: `A₁·B₁`, then `A₂·B₂` from where
+///   it left off. A skipped zero term must leave a `-0.0` alone, where
+///   adding its `+0.0` product would not;
 /// * `t_matmul_with`, which reads its left operand transposed in place.
 ///
-/// The operands mix exact and negative zeros into finite values, so the
-/// forward products mostly take the sparse-left arm; B is finite, or
-/// carries a NaN or ∞ row that turns the zero skip off for its product.
+/// The operands mix exact and negative zeros into finite values; B is
+/// finite, or carries a NaN or ∞ row that turns the zero skip off for its
+/// product. The default variant is one of the two pinned backends, so it
+/// is not run again here.
 #[test]
-fn saxpy_kernels_bit_identical_at_every_width() {
-    let (m, k1) = (5, 3);
-    let pars = variants();
-    for n in 1..=130usize {
-        for k in [1usize, 7, 64] {
-            let seed = (n * 1000 + k) as u64;
-            let a1 = matrix_from_seed(m, k1, seed, false);
-            let a2 = matrix_from_seed(m, k, seed + 1, false);
-            let at = matrix_from_seed(m, k, seed + 2, false);
-            let b1 = matrix_from_seed(k1, n, seed + 3, false);
-            let fills = [None, Some(f32::NAN), Some(f32::INFINITY)];
-            for fill in fills {
-                let mut b2 = matrix_from_seed(k, n, seed + 4, false);
-                let mut g = matrix_from_seed(m, n, seed + 5, false);
-                if let Some(v) = fill {
-                    b2.row_mut(k / 2).fill(v);
-                    g.row_mut(m / 2).fill(v);
-                }
-                let want = Matrix::hconcat(&[&a1, &a2]).matmul(&Matrix::vconcat(&[&b1, &b2]));
-                let want_t = at.t_matmul(&g);
-                for (label, par) in &pars {
-                    let mut acc = Matrix::zeros(m, n);
-                    a1.matmul_acc_with(Weights::scan(&b1), &mut acc, *par);
-                    a2.matmul_acc_with(Weights::scan(&b2), &mut acc, *par);
-                    let case = format!("n={n} k={k} row fill {fill:?} {label}");
-                    assert_bits_eq(&want, &acc, &format!("split-K matmul_acc {case}"));
-                    let got = at.t_matmul_with(&g, *par);
-                    assert_bits_eq(&want_t, &got, &format!("t_matmul {case}"));
+fn tile_kernels_bit_identical_at_every_remainder() {
+    let k1 = 3;
+    let pars = &variants()[1..];
+    for m in 1..=9usize {
+        for n in 1..=130usize {
+            for k in [1usize, 7, 64] {
+                let seed = ((m * 1000 + n) * 100 + k) as u64;
+                let a1 = matrix_from_seed(m, k1, seed, false);
+                let a2 = matrix_from_seed(m, k, seed + 1, false);
+                let at = matrix_from_seed(m, k, seed + 2, false);
+                let b1 = matrix_from_seed(k1, n, seed + 3, false);
+                let partial = matrix_from_seed(m, n, seed + 6, false);
+                let fills = [None, Some(f32::NAN), Some(f32::INFINITY)];
+                for fill in fills {
+                    let mut b2 = matrix_from_seed(k, n, seed + 4, false);
+                    let mut g = matrix_from_seed(m, n, seed + 5, false);
+                    if let Some(v) = fill {
+                        b2.row_mut(k / 2).fill(v);
+                        g.row_mut(m / 2).fill(v);
+                    }
+                    if fill.is_none() {
+                        // From zeros, the reference is `Matrix::matmul`.
+                        let mut from_zero = Matrix::zeros(m, n);
+                        matmul_acc_reference(&a2, &b2, &mut from_zero);
+                        assert_bits_eq(&a2.matmul(&b2), &from_zero, "matmul_acc_reference");
+                    }
+                    let mut want = partial.clone();
+                    matmul_acc_reference(&a1, &b1, &mut want);
+                    matmul_acc_reference(&a2, &b2, &mut want);
+                    let want_t = at.t_matmul(&g);
+                    for (label, par) in pars {
+                        let mut acc = partial.clone();
+                        a1.matmul_acc_with(Weights::scan(&b1), &mut acc, *par);
+                        a2.matmul_acc_with(Weights::scan(&b2), &mut acc, *par);
+                        let case = format!("m={m} n={n} k={k} row fill {fill:?} {label}");
+                        assert_bits_eq(&want, &acc, &format!("split-K matmul_acc {case}"));
+                        let got = at.t_matmul_with(&g, *par);
+                        assert_bits_eq(&want_t, &got, &format!("t_matmul {case}"));
+                    }
                 }
             }
         }

@@ -24,6 +24,8 @@
 //! This crate depends on nothing (std only) so every layer — core, nn,
 //! serve, bench — can feed it without dependency cycles.
 
+#![forbid(unsafe_code)]
+
 pub mod hist;
 pub mod lockwitness;
 pub mod snapshot;

@@ -10,6 +10,8 @@
 //!   *estimated* per-part cardinalities, honoring the general pigeonhole
 //!   principle (Figures 13–14).
 
+#![forbid(unsafe_code)]
+
 pub mod conjunctive;
 pub mod gph;
 

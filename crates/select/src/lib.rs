@@ -17,6 +17,8 @@
 //! [`euclid::VpTree`] (vantage-point tree). All are exact: every index is
 //! property-tested against the brute-force scan.
 
+#![forbid(unsafe_code)]
+
 pub mod edit;
 pub mod euclid;
 pub mod hamming;
