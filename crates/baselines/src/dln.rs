@@ -18,7 +18,7 @@
 use crate::features::{prepared_features, BaselineFeaturizer, RegressionData};
 use cardest_core::{next_instance_id, CardinalityCurve, CardinalityEstimator, PreparedQuery};
 use cardest_data::{Record, Workload};
-use cardest_nn::{init, loss, Adam, Matrix, Optimizer, ParamId, ParamStore, Tape, Var};
+use cardest_nn::{init, loss, Adam, Matrix, ParamId, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -160,8 +160,7 @@ impl DlDln {
                 }
                 let l = loss::msle(&mut tape, h, yv);
                 tape.backward(l, &mut store);
-                store.clip_grad_norm(5.0);
-                opt.step(&mut store);
+                opt.step(&mut store, 5.0);
             }
         }
         DlDln {

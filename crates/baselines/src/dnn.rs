@@ -15,7 +15,7 @@ use cardest_core::{
 use cardest_data::{Record, Workload};
 use cardest_fx::FeatureExtractor;
 use cardest_nn::layers::{Activation, Mlp};
-use cardest_nn::{loss, Adam, Matrix, Optimizer, Parallelism, ParamStore, Tape};
+use cardest_nn::{loss, Adam, Matrix, Parallelism, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -80,8 +80,7 @@ pub(crate) fn fit_msle_mlp(
             let pred = mlp.forward(&mut tape, &store, xv);
             let l = loss::msle(&mut tape, pred, yv);
             tape.backward(l, &mut store);
-            store.clip_grad_norm(5.0);
-            opt.step(&mut store);
+            opt.step(&mut store, 5.0);
         }
     }
     (mlp, store)

@@ -8,7 +8,7 @@ use crate::features::{prepared_features, BaselineFeaturizer, RegressionData};
 use cardest_core::{next_instance_id, CardinalityCurve, CardinalityEstimator, PreparedQuery};
 use cardest_data::{Record, Workload};
 use cardest_nn::layers::{Activation, Mlp};
-use cardest_nn::{loss, Adam, Matrix, Optimizer, ParamStore, Tape, Var};
+use cardest_nn::{loss, Adam, Matrix, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -99,8 +99,7 @@ impl DlMoe {
                 let pred = Self::forward(&experts, &gate, &mut tape, &store, xv);
                 let l = loss::msle(&mut tape, pred, yv);
                 tape.backward(l, &mut store);
-                store.clip_grad_norm(5.0);
-                opt.step(&mut store);
+                opt.step(&mut store, 5.0);
             }
         }
         DlMoe {

@@ -384,8 +384,7 @@ impl CardNetModel {
                 let e = tape.param(store, self.e);
                 let w1 = tape.param(store, first.w);
                 let b1 = tape.param(store, first.b);
-                let h = tape.pair_linear(&parts, Some(e), w1, b1);
-                let mut h = first.activation.apply(tape, h);
+                let mut h = tape.pair_linear(&parts, Some(e), w1, b1, first.activation);
                 for layer in rest {
                     h = layer.forward_blocks(tape, store, h, n_out);
                 }
@@ -399,8 +398,7 @@ impl CardNetModel {
                 let first = pa.hidden.first().expect("Φ′ has a layer");
                 let w1 = tape.param(store, first.w);
                 let b1 = tape.param(store, first.b);
-                let h1 = tape.pair_linear(&parts, None, w1, b1);
-                let mut h = first.activation.apply(tape, h1);
+                let mut h = tape.pair_linear(&parts, None, w1, b1, first.activation);
                 let mut regions: Vec<Var> = Vec::with_capacity(pa.hidden.len());
                 for (i, ((layer, &head), &width)) in
                     pa.hidden.iter().zip(&pa.heads).zip(&pa.regions).enumerate()
@@ -663,7 +661,7 @@ impl CardNetModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cardest_nn::{loss, rng, Adam, KernelBackend, Optimizer};
+    use cardest_nn::{loss, rng, Adam, KernelBackend};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1044,8 +1042,7 @@ mod tests {
         let mut opt = Adam::new(1e-2);
         for step in 0..3 {
             backward_step(&model, &mut store, &mut rng, step, par, forward);
-            store.clip_grad_norm(5.0);
-            opt.step(&mut store);
+            opt.step(&mut store, 5.0);
         }
         store
     }

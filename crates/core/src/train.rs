@@ -14,7 +14,7 @@ use crate::model::{CardNetConfig, CardNetModel};
 use cardest_data::Workload;
 use cardest_fx::FeatureExtractor;
 use cardest_nn::loss;
-use cardest_nn::{Adam, Matrix, Optimizer, Parallelism, ParamStore, Tape};
+use cardest_nn::{Adam, Matrix, Parallelism, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -156,8 +156,7 @@ impl Trainer {
                 let vae = self.model.vae().expect("vae enabled");
                 let fwd = vae.forward_train(&mut tape, &self.store, xv, &mut self.rng, 0.1);
                 tape.backward(fwd.loss, &mut self.store);
-                self.store.clip_grad_norm(5.0);
-                opt.step(&mut self.store);
+                opt.step(&mut self.store, 5.0);
             }
         }
     }
@@ -202,8 +201,7 @@ impl Trainer {
             "non-finite training loss {value}: diverged batch (lr too high or bad targets)"
         );
         tape.backward(total, &mut self.store);
-        self.store.clip_grad_norm(5.0);
-        opt.step(&mut self.store);
+        opt.step(&mut self.store, 5.0);
         value
     }
 
@@ -484,7 +482,7 @@ mod tests {
                 let vae = tape.scale(fwd.vae_loss.expect("VAE enabled"), 0.1);
                 let total = tape.add(main, vae);
                 tape.backward(total, &mut store);
-                opt.step(&mut store);
+                opt.step(&mut store, f32::INFINITY);
             }
             store
         };

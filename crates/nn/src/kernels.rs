@@ -10,8 +10,8 @@
 //! keep **exactly that per-element operation sequence**:
 //!
 //! * the *blocked* kernels tile the output into register accumulators
-//!   (`MR × NR` micro-tiles for `matmul`, 4-wide dot products for
-//!   `matmul_t`), which changes memory traffic but not the order in which any
+//!   (`MR × NR` micro-tiles for `matmul`, and for `matmul_t` over a packed
+//!   `bᵀ`), which changes memory traffic but not the order in which any
 //!   single output element receives its contributions; a sparse left operand
 //!   (binary features, post-ReLU activations) and `t_matmul` take the
 //!   reference's own saxpy order instead, whose zero skip drops whole rows
@@ -50,6 +50,7 @@
 //! else the best the CPU supports.
 
 use crate::matrix::{scan_finite, Matrix, Weights};
+use crate::optim::AdamStep;
 use std::sync::OnceLock;
 
 /// Which compute-kernel implementation tier to run.
@@ -340,27 +341,27 @@ pub(crate) fn matmul_t_slices(
         ad.len() == rows * k && out.len() == rows * n && bd.len() == n * k,
         "matmul_t shape mismatch"
     );
-    // The scalar matmul_t is a dot product along `k` — vectorizing *that*
-    // would need a horizontal reduction, which reorders the additions.
-    // The SIMD path instead packs `bᵀ` once and runs the column-vectorized
-    // tile over it: each lane owns one output element, accumulated in
-    // ascending `k` exactly like the scalar dot product. The packing cost
-    // is O(n·k) against an O(rows·n·k) product — and only worth paying when
-    // a SIMD tile actually exists on this CPU; otherwise the Simd pin falls
-    // straight through to the direct blocked t-kernel.
-    if par.backend() == KernelBackend::Simd && KernelBackend::simd_available() && n > 0 && k > 0 {
-        let mut bt = vec![0.0; k * n];
-        for (t, bt_row) in bt.chunks_exact_mut(n).enumerate() {
-            for (o, b_row) in bt_row.iter_mut().zip(bd.chunks_exact(k)) {
-                *o = b_row[t];
-            }
-        }
-        // Dense (no zero skip): the reference matmul_t never skips.
-        if tile_simd(Strided::rows(ad, k), &bt, n, out, false) {
-            return;
+    if n == 0 || k == 0 {
+        return;
+    }
+    // The scalar matmul_t is a dot product along `k`; vectorizing *that*
+    // would need a horizontal reduction, which reorders the additions. So
+    // both tiers pack `bᵀ` once and run their column-vectorized `A·B` tile
+    // over it, dense (the reference matmul_t never skips): each output
+    // element is accumulated in ascending `k` from `out`'s `+0.0`, exactly
+    // like the scalar dot product. The packing is O(n·k) against an
+    // O(rows·n·k) product.
+    let mut bt = vec![0.0; k * n];
+    for (t, bt_row) in bt.chunks_exact_mut(n).enumerate() {
+        for (o, b_row) in bt_row.iter_mut().zip(bd.chunks_exact(k)) {
+            *o = b_row[t];
         }
     }
-    matmul_t_rows(ad, k, bd, n, out);
+    if !(par.backend() == KernelBackend::Simd
+        && tile_simd(Strided::rows(ad, k), &bt, n, out, false))
+    {
+        matmul_rows(ad, k, &bt, n, out, false);
+    }
 }
 
 /// `aᵀ @ b` for row-major `a` (`samples × k`) and `b` (`samples × n`) given
@@ -568,49 +569,6 @@ fn t_matmul_rows(
     }
 }
 
-/// `a @ bᵀ`: independent register-accumulated dot products, four output
-/// columns at a time so each `a` row load is reused. Ascending-`k`
-/// accumulation per element, like the scalar kernel. `ad` is `rows × kk`,
-/// `bd` is `n × kk`.
-fn matmul_t_rows(ad: &[f32], kk: usize, bd: &[f32], n: usize, out: &mut [f32]) {
-    if n == 0 {
-        return;
-    }
-    let rows = out.len() / n;
-    for r in 0..rows {
-        let a_row = &ad[r * kk..(r + 1) * kk];
-        let out_row = &mut out[r * n..(r + 1) * n];
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &bd[j * kk..(j + 1) * kk];
-            let b1 = &bd[(j + 1) * kk..(j + 2) * kk];
-            let b2 = &bd[(j + 2) * kk..(j + 3) * kk];
-            let b3 = &bd[(j + 3) * kk..(j + 4) * kk];
-            let (mut acc0, mut acc1, mut acc2, mut acc3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for (k, &av) in a_row.iter().enumerate() {
-                acc0 += av * b0[k];
-                acc1 += av * b1[k];
-                acc2 += av * b2[k];
-                acc3 += av * b3[k];
-            }
-            out_row[j] = acc0;
-            out_row[j + 1] = acc1;
-            out_row[j + 2] = acc2;
-            out_row[j + 3] = acc3;
-            j += 4;
-        }
-        while j < n {
-            let b_row = &bd[j * kk..(j + 1) * kk];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
-            }
-            out_row[j] = acc;
-            j += 1;
-        }
-    }
-}
-
 /// A left operand read in place: element `(i, t)` (output row `i`, inner
 /// term `t`) lives at `data[i·row_step + t·t_step]`, so one tile kernel
 /// computes `A·B` ([`Strided::rows`]) and `Aᵀ·B` ([`Strided::cols`])
@@ -681,6 +639,66 @@ fn tile_simd(lhs: Strided<'_>, bd: &[f32], n: usize, out: &mut [f32], skip_zeros
     false
 }
 
+/// One Adam step over `value`, `grad`, `m` and `v` (see
+/// [`crate::optim`]) through this CPU's `x86` twin of the element update,
+/// returning `false` without touching them when it has none, so the caller
+/// runs the plain body.
+#[allow(unsafe_code)]
+pub(crate) fn adam_simd(
+    k: AdamStep,
+    value: &mut [f32],
+    grad: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    match simd_level() {
+        SimdLevel::Avx512 => {
+            // SAFETY: simd_level() observed AVX-512F via runtime detection,
+            // the twin's only precondition; its body is safe code.
+            unsafe { x86::adam_avx512(k, value, grad, m, v) };
+            return true;
+        }
+        SimdLevel::Avx2 => {
+            // SAFETY: simd_level() observed AVX2 via runtime detection.
+            unsafe { x86::adam_avx2(k, value, grad, m, v) };
+            return true;
+        }
+        SimdLevel::None => {}
+    }
+    false
+}
+
+/// An Adam element kernel, as [`crate::optim::adam_update`] takes its
+/// arguments.
+#[cfg(test)]
+pub(crate) type AdamKernel = fn(AdamStep, &mut [f32], &mut [f32], &mut [f32], &mut [f32]);
+
+/// Every `x86` twin of the Adam element update this CPU can run, each
+/// behind a safe wrapper that calls it directly: dispatch picks one ISA
+/// per CPU, so without this the AVX2 twin never runs on an AVX-512 host.
+#[cfg(test)]
+#[allow(unsafe_code)]
+pub(crate) fn adam_isas() -> Vec<(&'static str, AdamKernel)> {
+    let mut isas: Vec<(&'static str, AdamKernel)> = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: pushed only after runtime detection found AVX2.
+            isas.push(("avx2", |k, x, g, m, v| unsafe {
+                x86::adam_avx2(k, x, g, m, v)
+            }));
+        }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: pushed only after runtime detection found AVX-512F.
+            isas.push(("avx512", |k, x, g, m, v| unsafe {
+                x86::adam_avx512(k, x, g, m, v)
+            }));
+        }
+    }
+    isas
+}
+
 /// Explicit `core::arch::x86_64` register tiles (AVX2 and AVX-512F).
 ///
 /// Each ISA has one kernel: a few output rows × up to `V` vectors of
@@ -714,6 +732,7 @@ fn tile_simd(lhs: Strided<'_>, bd: &[f32], n: usize, out: &mut [f32], skip_zeros
 #[allow(unsafe_code)]
 mod x86 {
     use super::{Strided, MR};
+    use crate::optim::{adam_update, AdamStep};
     use core::arch::x86_64::*;
 
     /// Lanes per `__m512`.
@@ -963,6 +982,36 @@ mod x86 {
                 }
             }
         }
+    }
+
+    /// [`crate::optim::adam_update`] compiled for AVX-512F.
+    ///
+    /// # Safety
+    /// AVX-512F must be available (callers dispatch on runtime detection).
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn adam_avx512(
+        k: AdamStep,
+        value: &mut [f32],
+        grad: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+    ) {
+        adam_update(k, value, grad, m, v);
+    }
+
+    /// [`crate::optim::adam_update`] compiled for AVX2.
+    ///
+    /// # Safety
+    /// AVX2 must be available (callers dispatch on runtime detection).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn adam_avx2(
+        k: AdamStep,
+        value: &mut [f32],
+        grad: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+    ) {
+        adam_update(k, value, grad, m, v);
     }
 }
 

@@ -106,7 +106,8 @@ impl Dense {
 
     /// [`Dense::forward`] over `x` stacked from `blocks` equal row blocks:
     /// the weight and bias gradients are summed block by block, last block
-    /// first ([`Tape::linear_blocks`]).
+    /// first, and the activation is fused into the layer's node
+    /// ([`Tape::linear_blocks`]).
     pub fn forward_blocks(
         &self,
         tape: &mut Tape,
@@ -116,8 +117,7 @@ impl Dense {
     ) -> Var {
         let w = tape.param(store, self.w);
         let b = tape.param(store, self.b);
-        let h = tape.linear_blocks(x, w, b, blocks);
-        self.activation.apply(tape, h)
+        tape.linear_blocks(x, w, b, blocks, self.activation)
     }
 
     /// Tape-free forward pass (inference fast path).
@@ -268,7 +268,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use crate::rng;
 
     #[test]
@@ -312,7 +312,7 @@ mod tests {
             let sq = t.square(diff);
             let loss = t.mean_all(sq);
             t.backward(loss, &mut store);
-            opt.step(&mut store);
+            opt.step(&mut store, f32::INFINITY);
         }
         let pred = mlp.infer(&store, &x);
         for (i, want) in [0.0, 1.0, 1.0, 0.0].iter().enumerate() {

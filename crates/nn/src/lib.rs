@@ -14,7 +14,7 @@
 //! * [`tape::Tape`] — a dynamic reverse-mode autodiff tape over matrices,
 //! * [`params::ParamStore`] — named trainable parameters plus their gradients
 //!   and a per-value finiteness cache,
-//! * [`optim`] — Adam and SGD,
+//! * [`optim`] — Adam, with the gradient-norm clip fused into its step,
 //! * [`layers`] — `Dense` layers and `Mlp` stacks built on the tape,
 //! * [`vae`] — the variational auto-encoder of §5.2.1 of the paper,
 //! * [`loss`] — MSLE and the other losses used by the estimators.
@@ -49,7 +49,7 @@ pub mod vae;
 pub use kernels::{KernelBackend, Parallelism};
 pub use layers::{Activation, Dense, Mlp};
 pub use matrix::{Matrix, Weights};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use params::{ParamId, ParamStore};
 pub use tape::{Tape, Var};
 pub use vae::{Vae, VaeConfig};

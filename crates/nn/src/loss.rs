@@ -19,16 +19,10 @@ pub fn msle(tape: &mut Tape, pred: Var, target: Var) -> Var {
 
 /// Builds a column-weighted MSLE: squared log-differences are scaled by the
 /// `1 x m` row `weights` before averaging over rows, then summed over columns.
-/// With `weights = P(τ)` this is the `E_{τ~P}[L_g]` term of Eq. 2.
+/// With `weights = P(τ)` this is the `E_{τ~P}[L_g]` term of Eq. 2. One tape
+/// node ([`Tape::weighted_msle`]); `target` and `weights` are constants.
 pub fn weighted_msle(tape: &mut Tape, pred: Var, target: Var, weights: Var) -> Var {
-    let lp = tape.ln1p(pred);
-    let lt = tape.ln1p(target);
-    let diff = tape.sub(lp, lt);
-    let sq = tape.square(diff);
-    let weighted = tape.mul_row(sq, weights);
-    let total = tape.sum_all(weighted);
-    let n = tape.value(pred).rows().max(1) as f32;
-    tape.scale(total, 1.0 / n)
+    tape.weighted_msle(pred, target, weights)
 }
 
 /// Builds `mean((pred - target)^2)` on the tape.
@@ -38,21 +32,18 @@ pub fn mse(tape: &mut Tape, pred: Var, target: Var) -> Var {
     tape.mean_all(sq)
 }
 
-/// Builds mean binary cross-entropy `-(t·ln(p) + (1-t)·ln(1-p))` on the tape.
-/// `pred` must be in `(0, 1)` (e.g. sigmoid output).
+/// Builds mean binary cross-entropy `-(t·ln(p) + (1-t)·ln(1-p))` on the tape
+/// as one node ([`Tape::bce`]). `pred` must be in `(0, 1)` (e.g. sigmoid
+/// output); `target` is a constant.
 pub fn bce(tape: &mut Tape, pred: Var, target: Var) -> Var {
-    let eps = 1e-6;
-    let ln_p = tape.ln_eps(pred, eps);
-    let pos = tape.mul(target, ln_p);
-    let one_minus_p = tape.scale(pred, -1.0);
-    let one_minus_p = tape.add_scalar(one_minus_p, 1.0);
-    let ln_not_p = tape.ln_eps(one_minus_p, eps);
-    let one_minus_t = tape.scale(target, -1.0);
-    let one_minus_t = tape.add_scalar(one_minus_t, 1.0);
-    let neg = tape.mul(one_minus_t, ln_not_p);
-    let sum = tape.add(pos, neg);
-    let mean = tape.mean_all(sum);
-    tape.scale(mean, -1.0)
+    tape.bce(pred, target)
+}
+
+/// Builds `β · KL(N(μ, σ²) ‖ N(0, I)) = −½·β·mean(1 + logvar − μ² −
+/// exp(logvar))`, the VAE's regularizer, as one node
+/// ([`Tape::gaussian_kl`]).
+pub fn gaussian_kl(tape: &mut Tape, mu: Var, logvar: Var, beta: f32) -> Var {
+    tape.gaussian_kl(mu, logvar, beta)
 }
 
 /// Evaluates MSLE without a tape.

@@ -154,14 +154,15 @@ impl ParamStore {
         (0..self.params.len()).map(ParamId)
     }
 
-    /// Applies `f(value, grad)` to one parameter (used by optimizers).
-    pub fn update(&mut self, id: ParamId, f: impl FnOnce(&mut Matrix, &Matrix)) {
+    /// Applies `f(value, grad)` to one parameter (used by the optimizer,
+    /// which also clears `grad`).
+    pub fn update(&mut self, id: ParamId, f: impl FnOnce(&mut Matrix, &mut Matrix)) {
         let p = &mut self.params[id.0];
         if p.grad.shape() != p.value.shape() {
             p.grad = Matrix::zeros(p.value.rows(), p.value.cols());
         }
         p.finite.take();
-        f(&mut p.value, &p.grad);
+        f(&mut p.value, &mut p.grad);
     }
 
     /// Total number of scalar parameters.
@@ -191,7 +192,8 @@ impl ParamStore {
             .sqrt()
     }
 
-    /// Scales every gradient so the global norm is at most `max_norm`.
+    /// Scales every gradient so the global norm is at most `max_norm`: the
+    /// clip [`crate::Adam::step`] applies as it updates.
     pub fn clip_grad_norm(&mut self, max_norm: f32) {
         let norm = self.grad_norm();
         if norm > max_norm && norm > 0.0 {

@@ -21,6 +21,19 @@
 //! linear in it: its bias gradient keeps those bits, while its weight, `e`
 //! and input gradients differ from the per-block order by rounding.
 //!
+//! Fused ops record in one node what a chain of primitive ops would, with
+//! the same bits, forward and backward: [`Tape::linear_blocks`] and
+//! [`Tape::pair_linear`] apply their activation in the bias pass and, in
+//! backward, turn the incoming gradient into the pre-activation's in place
+//! before their products, reading the output as the separate activation's
+//! backward does; [`Tape::weighted_msle`], [`Tape::bce`] and
+//! [`Tape::gaussian_kl`] each compute a whole loss, keeping every element's
+//! operation order and every sum's order. The primitive ops stay on the tape,
+//! and this module's tests check each fused op against its composition bit
+//! for bit. A loss whose input gets two deltas in its composition (`bce`'s
+//! prediction, the KL's log variance) delivers their sum, which is the
+//! composition's bits when no gradient reaches that input earlier.
+//!
 //! A tape keeps the buffers of the matrices it is done with and hands them
 //! out again for new ones, and [`Tape::reset`] keeps every buffer for the next
 //! pass. A training loop that records each step on one reset tape allocates
@@ -31,6 +44,7 @@
 //! differences in this module's tests.
 
 use crate::kernels::{matmul_t_slices, t_matmul_slices, Parallelism};
+use crate::layers::Activation;
 use crate::matrix::{Matrix, Weights};
 use crate::params::{ParamId, ParamStore};
 
@@ -48,11 +62,12 @@ enum Op {
     MatMul(usize, usize),
     /// `a + broadcast_rows(b)` where `b` is `1 x m`.
     AddRow(usize, usize),
-    /// [`Tape::linear_blocks`]: `(x, w, bias, blocks)`.
-    Linear(usize, usize, usize, usize),
+    /// [`Tape::linear_blocks`]: `(x, w, bias, blocks, act)`, `act` never
+    /// [`Activation::Softplus`].
+    Linear(usize, usize, usize, usize, Activation),
     /// [`Tape::pair_linear`]: `(parts with their row offsets into w, e, w,
-    /// bias)`.
-    PairLinear(Vec<(usize, usize)>, Option<usize>, usize, usize),
+    /// bias, act)`, `act` never [`Activation::Softplus`].
+    PairLinear(Vec<(usize, usize)>, Option<usize>, usize, usize, Activation),
     /// [`Tape::block_dot`]: `(z, w, bias)`.
     BlockDot(usize, usize, usize),
     /// [`Tape::stack_col_blocks`]: `(a, width)`.
@@ -80,6 +95,12 @@ enum Op {
     Square(usize),
     /// Element-wise `1/x`.
     Recip(usize),
+    /// [`Tape::weighted_msle`]: `(pred, target, weights)`.
+    WeightedMsle(usize, usize, usize),
+    /// [`Tape::bce`]: `(pred, target)`.
+    Bce(usize, usize),
+    /// [`Tape::gaussian_kl`]: `(mu, logvar, beta)`.
+    GaussianKl(usize, usize, f32),
     /// Row sums: `n x m` → `n x 1`.
     RowSums(usize),
     SumAll(usize),
@@ -103,9 +124,13 @@ impl Op {
             | Op::Sub(a, b)
             | Op::Mul(a, b)
             | Op::MulRow(a, b)
-            | Op::MulCol(a, b) => f(*a) || f(*b),
-            Op::Linear(x, w, b, _) | Op::BlockDot(x, w, b) => f(*x) || f(*w) || f(*b),
-            Op::PairLinear(parts, e, w, b) => {
+            | Op::MulCol(a, b)
+            | Op::Bce(a, b)
+            | Op::GaussianKl(a, b, _) => f(*a) || f(*b),
+            Op::Linear(x, w, b, _, _) | Op::BlockDot(x, w, b) | Op::WeightedMsle(x, w, b) => {
+                f(*x) || f(*w) || f(*b)
+            }
+            Op::PairLinear(parts, e, w, b, _) => {
                 parts.iter().any(|&(p, _)| f(p)) || e.is_some_and(&f) || f(*w) || f(*b)
             }
             Op::HConcat(parents) => parents.iter().any(|&(p, _)| f(p)),
@@ -340,28 +365,54 @@ impl Tape {
     /// after the product: the bits of [`Tape::matmul`] then
     /// [`Tape::add_row`].
     pub fn linear(&mut self, x: Var, w: Var, bias: Var) -> Var {
-        self.linear_blocks(x, w, bias, 1)
+        self.linear_blocks(x, w, bias, 1, Activation::None)
     }
 
-    /// [`Tape::linear`] over `x` stacked from `blocks` equal row blocks: `w`
-    /// gets the sum of one `t_matmul` per block and `bias` the sum of one
-    /// column sum per block, last block first.
-    pub fn linear_blocks(&mut self, x: Var, w: Var, bias: Var, blocks: usize) -> Var {
+    /// `act(x @ w + bias)` over `x` stacked from `blocks` equal row blocks,
+    /// in one node: [`Tape::linear`], then `act` as its own op, bit for bit.
+    /// `w` gets the sum of one `t_matmul` per block and `bias` the sum of
+    /// one column sum per block, last block first.
+    ///
+    /// The activation runs in the bias pass, and only its output is kept.
+    /// Backward first turns the incoming gradient into the pre-activation's
+    /// in place, reading the output as the separate op's backward does, and
+    /// then runs the products. [`Activation::Softplus`], whose backward
+    /// reads its input, stays a separate node after this one.
+    pub fn linear_blocks(
+        &mut self,
+        x: Var,
+        w: Var,
+        bias: Var,
+        blocks: usize,
+        act: Activation,
+    ) -> Var {
         let (xm, wm) = (&self.nodes[x.0].value, &self.nodes[w.0].value);
         assert_row_blocks(xm, blocks);
         let mut value = self.spare.zeros(xm.rows(), wm.cols());
         xm.matmul_acc_with(Weights::scan(wm), &mut value, self.par);
-        add_bias(&mut value, &self.nodes[bias.0].value);
-        self.push(value, Op::Linear(x.0, w.0, bias.0, blocks))
+        let fused = fusable(act);
+        add_bias_act(&mut value, &self.nodes[bias.0].value, fused);
+        let h = self.push(value, Op::Linear(x.0, w.0, bias.0, blocks, fused));
+        self.finish_unfused(h, act)
     }
 
-    /// `[p₀ | p₁ | … | e_i] · w + bias` for every row `i` of `e` and every
+    /// Records `act` as its own node when no fused op can take it.
+    fn finish_unfused(&mut self, h: Var, act: Activation) -> Var {
+        match act {
+            Activation::Softplus => self.softplus(h),
+            _ => h,
+        }
+    }
+
+    /// `act([p₀ | p₁ | … | e_i] · w + bias)` for every row `i` of `e` and every
     /// row `r` of the equally tall `parts`, stacked block-major: row `i·n + r`
     /// of the result pairs row `r` of the parts with `e_i`. `w` has one row
     /// per part column, then one per `e` column; `bias` is `1 x m`. Without
     /// an `e` this is one block, `[p₀ | p₁ | …] · w + bias`: a
     /// [`Tape::linear`] over the concatenated parts that needs no
-    /// concatenation.
+    /// concatenation. `act` is fused as in [`Tape::linear_blocks`]: applied
+    /// in the bias pass, and its backward applied to the incoming gradient
+    /// in place before everything below, which then reads that gradient.
     ///
     /// The parts' rows are multiplied once: each part adds its product into
     /// a shared `n`-row partial, in order, and every `(i, r)` accumulator
@@ -389,8 +440,16 @@ impl Tape {
     /// per-block `t_matmul` and `g · wᵀ` by rounding. Without an `e`
     /// there is one block and `S` is `G` itself, so every gradient is that
     /// of [`Tape::linear`] on the concatenation.
-    pub fn pair_linear(&mut self, parts: &[Var], e: Option<Var>, w: Var, bias: Var) -> Var {
+    pub fn pair_linear(
+        &mut self,
+        parts: &[Var],
+        e: Option<Var>,
+        w: Var,
+        bias: Var,
+        act: Activation,
+    ) -> Var {
         assert!(!parts.is_empty(), "pair_linear needs a part");
+        let fused = fusable(act);
         let wm = &self.nodes[w.0].value;
         let n = self.nodes[parts[0].0].value.rows();
         let mut rest = Weights::scan(wm);
@@ -406,8 +465,9 @@ impl Tape {
         }
         let Some(e) = e else {
             assert_eq!(rest.rows(), 0, "pair_linear: w has rows past the parts");
-            add_bias(&mut partial, &self.nodes[bias.0].value);
-            return self.push(partial, Op::PairLinear(offsets, None, w.0, bias.0));
+            add_bias_act(&mut partial, &self.nodes[bias.0].value, fused);
+            let h = self.push(partial, Op::PairLinear(offsets, None, w.0, bias.0, fused));
+            return self.finish_unfused(h, act);
         };
         let em = &self.nodes[e.0].value;
         assert_eq!(
@@ -426,10 +486,14 @@ impl Tape {
             }
         }
         e_rows.matmul_acc_with(rest, &mut value, self.par);
-        add_bias(&mut value, &self.nodes[bias.0].value);
+        add_bias_act(&mut value, &self.nodes[bias.0].value, fused);
         self.spare.put(e_rows);
         self.spare.put(partial);
-        self.push(value, Op::PairLinear(offsets, Some(e.0), w.0, bias.0))
+        let h = self.push(
+            value,
+            Op::PairLinear(offsets, Some(e.0), w.0, bias.0, fused),
+        );
+        self.finish_unfused(h, act)
     }
 
     /// Row `r`, column `i` of the result is `z[i·n + r] · w[i] + bias[i]`:
@@ -536,17 +600,11 @@ impl Tape {
     }
 
     pub fn relu(&mut self, a: Var) -> Var {
-        self.push_map(a, Op::Relu(a.0), |x| x.max(0.0))
+        self.push_map(a, Op::Relu(a.0), relu)
     }
 
     pub fn elu(&mut self, a: Var, alpha: f32) -> Var {
-        self.push_map(a, Op::Elu(a.0, alpha), |x| {
-            if x > 0.0 {
-                x
-            } else {
-                alpha * (x.exp() - 1.0)
-            }
-        })
+        self.push_map(a, Op::Elu(a.0, alpha), |x| elu(x, alpha))
     }
 
     pub fn sigmoid(&mut self, a: Var) -> Var {
@@ -564,11 +622,11 @@ impl Tape {
     }
 
     pub fn exp(&mut self, a: Var) -> Var {
-        self.push_map(a, Op::Exp(a.0), |x| x.clamp(-30.0, 30.0).exp())
+        self.push_map(a, Op::Exp(a.0), clamped_exp)
     }
 
     pub fn ln1p(&mut self, a: Var) -> Var {
-        self.push_map(a, Op::Ln1p(a.0), |x| x.max(-0.999_999).ln_1p())
+        self.push_map(a, Op::Ln1p(a.0), ln1p)
     }
 
     pub fn ln_eps(&mut self, a: Var, eps: f32) -> Var {
@@ -583,6 +641,96 @@ impl Tape {
     /// (e.g. softmax denominators, which are ≥ 1 term of `exp`).
     pub fn recip(&mut self, a: Var) -> Var {
         self.push_map(a, Op::Recip(a.0), |x| 1.0 / x)
+    }
+
+    /// `(1/n) · Σ_{r,c} w_c · (ln1p(pred[r,c]) − ln1p(target[r,c]))²` over
+    /// the `n` rows, `weights` a `1 x m` row, in one node (see
+    /// [`crate::loss::weighted_msle`]): the bits of [`Tape::ln1p`] of each
+    /// operand, [`Tape::sub`], [`Tape::square`], [`Tape::mul_row`],
+    /// [`Tape::sum_all`] and [`Tape::scale`] by `1/n`, forward and backward.
+    /// `target` and `weights` must be constants.
+    pub fn weighted_msle(&mut self, pred: Var, target: Var, weights: Var) -> Var {
+        let (pm, tm, wm) = (
+            &self.nodes[pred.0].value,
+            &self.nodes[target.0].value,
+            &self.nodes[weights.0].value,
+        );
+        assert_eq!(pm.shape(), tm.shape(), "weighted_msle shape mismatch");
+        assert_eq!(
+            wm.shape(),
+            (1, pm.cols()),
+            "weighted_msle weights must be 1 x m"
+        );
+        self.assert_constant(&[target, weights], "weighted_msle");
+        let cols = pm.cols().max(1);
+        let total: f32 = (pm.as_slice().iter().zip(tm.as_slice()))
+            .enumerate()
+            .map(|(i, (&p, &t))| {
+                let d = ln1p(p) - ln1p(t);
+                d * d * wm.get(0, i % cols)
+            })
+            .sum();
+        let k = 1.0 / pm.rows().max(1) as f32;
+        let value = Matrix::from_vec(1, 1, vec![k * total]);
+        self.push(value, Op::WeightedMsle(pred.0, target.0, weights.0))
+    }
+
+    /// Mean binary cross-entropy `−mean(t·ln(p + ε) + (1 − t)·ln(1 − p + ε))`
+    /// with `ε = 1e-6`, in one node (see [`crate::loss::bce`]): the bits of
+    /// its composition from [`Tape::ln_eps`], [`Tape::mul`], [`Tape::scale`],
+    /// [`Tape::add_scalar`], [`Tape::add`], [`Tape::mean_all`] and a final
+    /// scale by `−1`, forward and backward, as long as no gradient reaches
+    /// `pred` before this node's. `target` must be a constant.
+    // `-1.0 * x` is the composition's scale by −1, which keeps a NaN's
+    // sign where `-x` would flip it.
+    #[allow(clippy::neg_multiply)]
+    pub fn bce(&mut self, pred: Var, target: Var) -> Var {
+        let (pm, tm) = (&self.nodes[pred.0].value, &self.nodes[target.0].value);
+        assert_eq!(pm.shape(), tm.shape(), "bce shape mismatch");
+        self.assert_constant(&[target], "bce");
+        let sum: f32 = (pm.as_slice().iter().zip(tm.as_slice()))
+            .map(|(&p, &t)| {
+                let (not_p, not_t) = (-1.0 * p + 1.0, -1.0 * t + 1.0);
+                t * (p + BCE_EPS).ln() + not_t * (not_p + BCE_EPS).ln()
+            })
+            .sum();
+        let mean = if pm.is_empty() {
+            0.0
+        } else {
+            sum / pm.len() as f32
+        };
+        let value = Matrix::from_vec(1, 1, vec![-1.0 * mean]);
+        self.push(value, Op::Bce(pred.0, target.0))
+    }
+
+    /// `β · KL(N(μ, σ²) ‖ N(0, I))` as `β · (−½ · mean(1 + logvar − μ² −
+    /// exp(logvar)))`, in one node (see [`crate::loss::gaussian_kl`]): the
+    /// bits of its composition from [`Tape::square`], [`Tape::exp`],
+    /// [`Tape::add_scalar`], two [`Tape::sub`]s, [`Tape::mean_all`] and two
+    /// [`Tape::scale`]s, forward and backward, as long as no gradient
+    /// reaches `logvar` before this node's.
+    pub fn gaussian_kl(&mut self, mu: Var, logvar: Var, beta: f32) -> Var {
+        let (mm, lm) = (&self.nodes[mu.0].value, &self.nodes[logvar.0].value);
+        assert_eq!(mm.shape(), lm.shape(), "gaussian_kl shape mismatch");
+        let sum: f32 = (mm.as_slice().iter().zip(lm.as_slice()))
+            .map(|(&m, &l)| l + 1.0 - m * m - clamped_exp(l))
+            .sum();
+        let mean = if mm.is_empty() {
+            0.0
+        } else {
+            sum / mm.len() as f32
+        };
+        let value = Matrix::from_vec(1, 1, vec![beta * (-0.5 * mean)]);
+        self.push(value, Op::GaussianKl(mu.0, logvar.0, beta))
+    }
+
+    /// Panics if a gradient could reach any of `vars`, which `op` treats as
+    /// data.
+    fn assert_constant(&self, vars: &[Var], op: &str) {
+        assert!(
+            vars.iter().all(|v| !self.nodes[v.0].needs_grad),
+            "{op}: target and weights must be constants"
+        );
     }
 
     /// Row sums as an `n x 1` column vector.
@@ -725,13 +873,16 @@ impl Tape {
                         spare.put(grad);
                     }
                 }
-                Op::Linear(x, w, b, blocks) => {
+                Op::Linear(x, w, b, blocks, act) => {
+                    let mut grad = grad;
+                    act_backward(*act, &mut grad, &self.nodes[i].value);
                     let (xv, wv) = (&self.nodes[*x].value, &self.nodes[*w].value);
-                    let rows = grad.rows() / blocks;
+                    let (rows, k, m) = (grad.rows() / blocks, xv.cols(), grad.cols());
                     if need(*b) {
-                        let db = sum_blocks_last_first(*blocks, |k| {
-                            grad.col_sums_of(k * rows..(k + 1) * rows)
-                        });
+                        let c = block_col_sums(spare, &grad, *blocks);
+                        let mut db = spare.zeros(1, m);
+                        add_chunks_last_first(c.as_slice(), db.as_mut_slice());
+                        spare.put(c);
                         deltas.push((*b, db));
                     }
                     if need(*x) {
@@ -744,32 +895,36 @@ impl Tape {
                         deltas.push((*x, dx));
                     }
                     if need(*w) {
-                        let dw = sum_blocks_last_first(*blocks, |k| {
-                            let block = k * rows..(k + 1) * rows;
-                            let (xb, gb) = (xv.row_range(block.clone()), grad.row_range(block));
-                            let mut dw = Matrix::zeros(xv.cols(), grad.cols());
-                            t_matmul_slices(xb, xv.cols(), gb, grad.cols(), dw.as_mut_slice(), par);
-                            dw
-                        });
+                        // Block k's `x_kᵀ · G_k` into `part`, added onto
+                        // the last block's, last block first.
+                        let block = |kb: usize| kb * rows..(kb + 1) * rows;
+                        let product = |kb: usize, out: &mut Matrix| {
+                            let (xb, gb) = (xv.row_range(block(kb)), grad.row_range(block(kb)));
+                            t_matmul_slices(xb, k, gb, m, out.as_mut_slice(), par);
+                        };
+                        let mut dw = spare.zeros(k, m);
+                        product(blocks - 1, &mut dw);
+                        if *blocks > 1 {
+                            let mut part = spare.zeros(k, m);
+                            for kb in (0..blocks - 1).rev() {
+                                part.fill_zero();
+                                product(kb, &mut part);
+                                dw.axpy(1.0, &part);
+                            }
+                            spare.put(part);
+                        }
                         deltas.push((*w, dw));
                     }
                     spare.put(grad);
                 }
-                Op::PairLinear(parts, e, w, b) => {
+                Op::PairLinear(parts, e, w, b, act) => {
+                    let mut grad = grad;
+                    act_backward(*act, &mut grad, &self.nodes[i].value);
                     let (em, wm) = (e.map(|e| &self.nodes[e].value), &self.nodes[*w].value);
                     let blocks = em.map_or(1, Matrix::rows);
                     let (n, m) = (grad.rows() / blocks, grad.cols());
                     let e_at = wm.rows() - em.map_or(0, Matrix::cols);
-                    // Row k of `c` is block k's column sums.
-                    let mut c = spare.zeros(blocks, m);
-                    for k in 0..blocks {
-                        let ck = c.row_mut(k);
-                        for r in k * n..(k + 1) * n {
-                            for (o, &g) in ck.iter_mut().zip(grad.row(r)) {
-                                *o += g;
-                            }
-                        }
-                    }
+                    let c = block_col_sums(spare, &grad, blocks);
                     if need(*b) {
                         let mut db = spare.zeros(1, m);
                         add_chunks_last_first(c.as_slice(), db.as_mut_slice());
@@ -962,30 +1117,19 @@ impl Tape {
                 Op::AddScalar(a) => deltas.push((*a, grad)),
                 Op::Relu(a) => {
                     let out = &self.nodes[i].value;
-                    deltas.push((
-                        *a,
-                        zip_into(grad, out, |g, y| if y > 0.0 { g } else { 0.0 }),
-                    ));
+                    deltas.push((*a, zip_into(grad, out, relu_grad)));
                 }
                 Op::Elu(a, alpha) => {
-                    let out = &self.nodes[i].value;
-                    let al = *alpha;
-                    deltas.push((
-                        *a,
-                        zip_into(
-                            grad,
-                            out,
-                            move |g, y| if y > 0.0 { g } else { g * (y + al) },
-                        ),
-                    ));
+                    let (out, al) = (&self.nodes[i].value, *alpha);
+                    deltas.push((*a, zip_into(grad, out, |g, y| elu_grad(g, y, al))));
                 }
                 Op::Sigmoid(a) => {
                     let out = &self.nodes[i].value;
-                    deltas.push((*a, zip_into(grad, out, |g, y| g * y * (1.0 - y))));
+                    deltas.push((*a, zip_into(grad, out, sigmoid_grad)));
                 }
                 Op::Tanh(a) => {
                     let out = &self.nodes[i].value;
-                    deltas.push((*a, zip_into(grad, out, |g, y| g * (1.0 - y * y))));
+                    deltas.push((*a, zip_into(grad, out, tanh_grad)));
                 }
                 Op::Softplus(a) => {
                     let inp = &self.nodes[*a].value;
@@ -997,10 +1141,7 @@ impl Tape {
                 }
                 Op::Ln1p(a) => {
                     let inp = &self.nodes[*a].value;
-                    deltas.push((
-                        *a,
-                        zip_into(grad, inp, |g, x| g / (1.0 + x.max(-0.999_999))),
-                    ));
+                    deltas.push((*a, zip_into(grad, inp, ln1p_grad)));
                 }
                 Op::LnEps(a, eps) => {
                     let inp = &self.nodes[*a].value;
@@ -1014,6 +1155,48 @@ impl Tape {
                 Op::Recip(a) => {
                     let out = &self.nodes[i].value;
                     deltas.push((*a, zip_into(grad, out, |g, y| -g * y * y)));
+                }
+                Op::WeightedMsle(p, t, w) => {
+                    let (pm, tm, wm) = (
+                        &self.nodes[*p].value,
+                        &self.nodes[*t].value,
+                        &self.nodes[*w].value,
+                    );
+                    // Scale, sum_all, mul_row, square, sub, ln1p.
+                    let d_total = grad.get(0, 0) * (1.0 / pm.rows().max(1) as f32);
+                    let mut dp = spare.zeros(pm.rows(), pm.cols());
+                    for r in 0..pm.rows() {
+                        let rows = dp.row_mut(r).iter_mut().zip(pm.row(r)).zip(tm.row(r));
+                        for (((o, &pv), &tv), &wv) in rows.zip(wm.row(0)) {
+                            let d = ln1p(pv) - ln1p(tv);
+                            *o = ln1p_grad(2.0 * (d_total * wv) * d, pv);
+                        }
+                    }
+                    deltas.push((*p, dp));
+                    spare.put(grad);
+                }
+                #[allow(clippy::neg_multiply)] // as in `Tape::bce`
+                Op::Bce(p, t) => {
+                    let (pm, tm) = (&self.nodes[*p].value, &self.nodes[*t].value);
+                    // Scale, mean_all, then per element the sum of the
+                    // `1 − p` path's delta and the `p` path's, the order in
+                    // which the composition delivers them.
+                    let gm = (grad.get(0, 0) * -1.0) / pm.len().max(1) as f32;
+                    let dp = spare.zip(pm, tm, |pv, tv| {
+                        let (not_p, not_t) = (-1.0 * pv + 1.0, -1.0 * tv + 1.0);
+                        (gm * not_t) / (not_p + BCE_EPS) * -1.0 + (gm * tv) / (pv + BCE_EPS)
+                    });
+                    deltas.push((*p, dp));
+                    spare.put(grad);
+                }
+                Op::GaussianKl(mu, lv, beta) => {
+                    let (mm, lm) = (&self.nodes[*mu].value, &self.nodes[*lv].value);
+                    // Scale by β, scale by −½, mean_all; then the log
+                    // variance's two deltas summed in delivery order.
+                    let gm = (grad.get(0, 0) * beta * -0.5) / mm.len().max(1) as f32;
+                    deltas.push((*lv, spare.map(lm, |l| gm + -gm * clamped_exp(l))));
+                    deltas.push((*mu, spare.map(mm, |m| 2.0 * -gm * m)));
+                    spare.put(grad);
                 }
                 Op::RowSums(a) => {
                     let src = &self.nodes[*a].value;
@@ -1100,13 +1283,74 @@ fn assert_row_blocks(m: &Matrix, blocks: usize) {
     );
 }
 
-/// `f(blocks − 1) + … + f(0)`, added in that order, last block first.
-fn sum_blocks_last_first(blocks: usize, mut f: impl FnMut(usize) -> Matrix) -> Matrix {
-    let mut acc = f(blocks - 1);
-    for k in (0..blocks - 1).rev() {
-        acc.axpy(1.0, &f(k));
+/// Row `k` of the result is the column sums of block `k` of `g`'s
+/// `blocks` equal row blocks, each column summed from `+0.0` in row order.
+fn block_col_sums(spare: &mut Spare, g: &Matrix, blocks: usize) -> Matrix {
+    let (n, m) = (g.rows() / blocks, g.cols());
+    let mut c = spare.zeros(blocks, m);
+    for k in 0..blocks {
+        let ck = c.row_mut(k);
+        for r in k * n..(k + 1) * n {
+            for (o, &v) in ck.iter_mut().zip(g.row(r)) {
+                *o += v;
+            }
+        }
     }
-    acc
+    c
+}
+
+/// The activation a fused linear op applies itself: `act`, or none for
+/// [`Activation::Softplus`], which follows as its own node.
+fn fusable(act: Activation) -> Activation {
+    match act {
+        Activation::Softplus => Activation::None,
+        a => a,
+    }
+}
+
+/// `m[r] = act(m[r] + bias)` for every row `r`, `bias` a `1 x m` row: the
+/// bias pass of a linear op, and the forward of the separate activation
+/// op on its result.
+fn add_bias_act(m: &mut Matrix, bias: &Matrix, act: Activation) {
+    fn pass(m: &mut Matrix, bias: &Matrix, f: impl Fn(f32) -> f32) {
+        for r in 0..m.rows() {
+            for (v, &b) in m.row_mut(r).iter_mut().zip(bias.row(0)) {
+                *v = f(*v + b);
+            }
+        }
+    }
+    assert_eq!(
+        bias.shape(),
+        (1, m.cols()),
+        "bias must be a 1 x {} row",
+        m.cols()
+    );
+    match act {
+        Activation::None => pass(m, bias, |v| v),
+        Activation::Relu => pass(m, bias, relu),
+        Activation::Elu => pass(m, bias, |v| elu(v, 1.0)),
+        Activation::Sigmoid => pass(m, bias, stable_sigmoid),
+        Activation::Tanh => pass(m, bias, f32::tanh),
+        Activation::Softplus => unreachable!("softplus is never fused"),
+    }
+}
+
+/// Turns `g`, the gradient of a fused op's output `out`, into that of its
+/// pre-activation in place: the backward of the separate activation op.
+fn act_backward(act: Activation, g: &mut Matrix, out: &Matrix) {
+    fn pass(g: &mut Matrix, out: &Matrix, f: impl Fn(f32, f32) -> f32) {
+        for (v, &y) in g.as_mut_slice().iter_mut().zip(out.as_slice()) {
+            *v = f(*v, y);
+        }
+    }
+    match act {
+        Activation::None => {}
+        Activation::Relu => pass(g, out, relu_grad),
+        Activation::Elu => pass(g, out, |g, y| elu_grad(g, y, 1.0)),
+        Activation::Sigmoid => pass(g, out, sigmoid_grad),
+        Activation::Tanh => pass(g, out, tanh_grad),
+        Activation::Softplus => unreachable!("softplus is never fused"),
+    }
 }
 
 /// Adds `src`'s consecutive `out.len()`-long chunks onto `out`, last chunk
@@ -1119,6 +1363,69 @@ fn add_chunks_last_first(src: &[f32], out: &mut [f32]) {
             *o += v;
         }
     }
+}
+
+/// The `ε` of [`Tape::bce`].
+const BCE_EPS: f32 = 1e-6;
+
+#[inline]
+fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
+
+#[inline]
+fn elu(x: f32, alpha: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        alpha * (x.exp() - 1.0)
+    }
+}
+
+/// The gradient of ReLU's input, from that of its output `y`.
+#[inline]
+fn relu_grad(g: f32, y: f32) -> f32 {
+    if y > 0.0 {
+        g
+    } else {
+        0.0
+    }
+}
+
+#[inline]
+fn elu_grad(g: f32, y: f32, alpha: f32) -> f32 {
+    if y > 0.0 {
+        g
+    } else {
+        g * (y + alpha)
+    }
+}
+
+#[inline]
+fn sigmoid_grad(g: f32, y: f32) -> f32 {
+    g * y * (1.0 - y)
+}
+
+#[inline]
+fn tanh_grad(g: f32, y: f32) -> f32 {
+    g * (1.0 - y * y)
+}
+
+/// `ln(1 + x)`, defined for `x > -1`.
+#[inline]
+fn ln1p(x: f32) -> f32 {
+    x.max(-0.999_999).ln_1p()
+}
+
+/// The gradient of [`ln1p`]'s input `x`, from that of its output.
+#[inline]
+fn ln1p_grad(g: f32, x: f32) -> f32 {
+    g / (1.0 + x.max(-0.999_999))
+}
+
+#[inline]
+fn clamped_exp(x: f32) -> f32 {
+    x.clamp(-30.0, 30.0).exp()
 }
 
 #[inline]
@@ -1396,7 +1703,7 @@ mod tests {
         for blocks in [1, 3] {
             check_params("linear", &mut store, &[a, w, b], |t, s| {
                 let (av, wv, bv) = (t.param(s, a), t.param(s, w), t.param(s, b));
-                let h = t.linear_blocks(av, wv, bv, blocks);
+                let h = t.linear_blocks(av, wv, bv, blocks, Activation::None);
                 let sq = t.square(h);
                 t.mean_all(sq)
             });
@@ -1448,7 +1755,7 @@ mod tests {
         let build = |t: &mut Tape, s: &ParamStore| {
             let xv = t.input(x.clone());
             let (lv, ev, wv, bv) = (t.param(s, lat), t.param(s, e), t.param(s, w), t.param(s, b));
-            t.pair_linear(&[xv, lv], Some(ev), wv, bv)
+            t.pair_linear(&[xv, lv], Some(ev), wv, bv, Activation::None)
         };
         check_params("pair_linear", &mut store, &[lat, e, w, b], |t, s| {
             let y = build(t, s);
@@ -1492,7 +1799,7 @@ mod tests {
             let lat = t.tanh(lat);
             let (wv, bv) = (t.param(s, w), t.param(s, b));
             if split {
-                t.pair_linear(&[xv, lat], None, wv, bv)
+                t.pair_linear(&[xv, lat], None, wv, bv, Activation::None)
             } else {
                 let cat = t.hconcat(&[xv, lat]);
                 t.linear(cat, wv, bv)
@@ -1572,7 +1879,7 @@ mod tests {
             let xv = t.input(x.clone());
             let (lv, ev) = (t.param(&store, lat), t.param(&store, e));
             let (wv, bv) = (t.param(&store, w), t.param(&store, b));
-            let y = t.pair_linear(&[xv, lv], Some(ev), wv, bv);
+            let y = t.pair_linear(&[xv, lv], Some(ev), wv, bv, Activation::None);
             let gv = t.input(g.clone());
             let yg = t.mul(y, gv);
             let l = t.sum_all(yg);
@@ -1673,5 +1980,228 @@ mod tests {
         // A pass that uses none of them drops them all.
         t.reset(Parallelism::serial());
         assert_eq!(held(&t), 0);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `build`'s root value, then the gradient of every listed parameter
+    /// after back-propagating `Σ root ⊙ G` for a fixed `G` of both signs,
+    /// with the node count of the recorded tape.
+    fn value_and_grads(
+        store: &mut ParamStore,
+        ids: &[ParamId],
+        build: impl Fn(&mut Tape, &ParamStore) -> Var,
+    ) -> (Vec<u32>, Vec<Vec<u32>>, usize) {
+        store.zero_grads();
+        let mut t = Tape::new();
+        let y = build(&mut t, store);
+        let (r, c) = t.value(y).shape();
+        let g = t.input(Matrix::from_fn(r, c, |i, j| {
+            ((i * 5 + j * 3) % 7) as f32 * 0.3 - 0.8
+        }));
+        let yg = t.mul(y, g);
+        let l = t.sum_all(yg);
+        t.backward(l, store);
+        let grads = ids.iter().map(|&id| bits(store.grad(id))).collect();
+        (bits(t.value(y)), grads, t.len())
+    }
+
+    const ACTIVATIONS: [Activation; 6] = [
+        Activation::None,
+        Activation::Relu,
+        Activation::Elu,
+        Activation::Sigmoid,
+        Activation::Tanh,
+        Activation::Softplus,
+    ];
+
+    #[test]
+    fn fused_linear_ops_match_linear_then_activation_bitwise() {
+        let mut store = ParamStore::new();
+        let a = uniform(&mut store, "a", 6, 3, 81);
+        let w = uniform(&mut store, "w", 3, 4, 82);
+        let b = uniform(&mut store, "b", 1, 4, 83);
+        let ids = [a, w, b];
+        for act in ACTIVATIONS {
+            for blocks in [1, 3] {
+                let fused = |t: &mut Tape, s: &ParamStore| {
+                    let (av, wv, bv) = (t.param(s, a), t.param(s, w), t.param(s, b));
+                    t.linear_blocks(av, wv, bv, blocks, act)
+                };
+                let composed = |t: &mut Tape, s: &ParamStore| {
+                    let (av, wv, bv) = (t.param(s, a), t.param(s, w), t.param(s, b));
+                    let h = t.linear_blocks(av, wv, bv, blocks, Activation::None);
+                    act.apply(t, h)
+                };
+                let (want, got) = (
+                    value_and_grads(&mut store, &ids, composed),
+                    value_and_grads(&mut store, &ids, fused),
+                );
+                assert_eq!((want.0, want.1), (got.0, got.1), "{act:?} blocks={blocks}");
+                // One node fewer, except for softplus, which is not fused.
+                let fewer = usize::from(!matches!(act, Activation::None | Activation::Softplus));
+                assert_eq!(got.2 + fewer, want.2, "{act:?}: node count");
+                check_params("fused linear", &mut store, &ids, |t, s| {
+                    let y = fused(t, s);
+                    let sq = t.square(y);
+                    t.mean_all(sq)
+                });
+            }
+        }
+        // CardNet's first layer, with and without `e`, and ReLU.
+        let mut rng = rng::seeded(84);
+        let x = Matrix::from_fn(3, 2, |_, _| f32::from(u8::from(rng.gen_bool(0.5))));
+        let lat = uniform(&mut store, "lat", 3, 2, 85);
+        let e = uniform(&mut store, "e", 4, 2, 86);
+        let w6 = uniform(&mut store, "w6", 6, 3, 87);
+        let w4 = uniform(&mut store, "w4", 4, 3, 88);
+        let b3 = uniform(&mut store, "b3", 1, 3, 89);
+        for with_e in [false, true] {
+            let ids = if with_e {
+                vec![lat, e, w6, b3]
+            } else {
+                vec![lat, w4, b3]
+            };
+            let pair = |t: &mut Tape, s: &ParamStore, act: Activation| {
+                let xv = t.input(x.clone());
+                let (lv, bv) = (t.param(s, lat), t.param(s, b3));
+                let (ev, wv) = if with_e {
+                    (Some(t.param(s, e)), t.param(s, w6))
+                } else {
+                    (None, t.param(s, w4))
+                };
+                t.pair_linear(&[xv, lv], ev, wv, bv, act)
+            };
+            let composed = |t: &mut Tape, s: &ParamStore| {
+                let h = pair(t, s, Activation::None);
+                t.relu(h)
+            };
+            let fused = |t: &mut Tape, s: &ParamStore| pair(t, s, Activation::Relu);
+            let (want, got) = (
+                value_and_grads(&mut store, &ids, composed),
+                value_and_grads(&mut store, &ids, fused),
+            );
+            assert_eq!((want.0, want.1), (got.0, got.1), "pair_linear e={with_e}");
+            assert_eq!(got.2 + 1, want.2, "pair_linear e={with_e}: node count");
+            check_params("fused pair_linear", &mut store, &ids, |t, s| {
+                let y = fused(t, s);
+                let sq = t.square(y);
+                t.mean_all(sq)
+            });
+        }
+    }
+
+    /// [`Tape::weighted_msle`] as primitive ops.
+    fn weighted_msle_composed(t: &mut Tape, pred: Var, target: Var, weights: Var) -> Var {
+        let lp = t.ln1p(pred);
+        let lt = t.ln1p(target);
+        let diff = t.sub(lp, lt);
+        let sq = t.square(diff);
+        let weighted = t.mul_row(sq, weights);
+        let total = t.sum_all(weighted);
+        let n = t.value(pred).rows().max(1) as f32;
+        t.scale(total, 1.0 / n)
+    }
+
+    /// [`Tape::bce`] as primitive ops.
+    fn bce_composed(t: &mut Tape, pred: Var, target: Var) -> Var {
+        let eps = 1e-6;
+        let ln_p = t.ln_eps(pred, eps);
+        let pos = t.mul(target, ln_p);
+        let one_minus_p = t.scale(pred, -1.0);
+        let one_minus_p = t.add_scalar(one_minus_p, 1.0);
+        let ln_not_p = t.ln_eps(one_minus_p, eps);
+        let one_minus_t = t.scale(target, -1.0);
+        let one_minus_t = t.add_scalar(one_minus_t, 1.0);
+        let neg = t.mul(one_minus_t, ln_not_p);
+        let sum = t.add(pos, neg);
+        let mean = t.mean_all(sum);
+        t.scale(mean, -1.0)
+    }
+
+    /// [`Tape::gaussian_kl`] as primitive ops.
+    fn gaussian_kl_composed(t: &mut Tape, mu: Var, logvar: Var, beta: f32) -> Var {
+        let mu_sq = t.square(mu);
+        let var = t.exp(logvar);
+        let inner = t.add_scalar(logvar, 1.0);
+        let inner = t.sub(inner, mu_sq);
+        let inner = t.sub(inner, var);
+        let kl = t.mean_all(inner);
+        let kl = t.scale(kl, -0.5);
+        t.scale(kl, beta)
+    }
+
+    #[test]
+    fn fused_losses_match_their_composition_bitwise() {
+        let mut store = ParamStore::new();
+        let p = uniform(&mut store, "p", 5, 4, 91);
+        let q = uniform(&mut store, "q", 5, 4, 92);
+        let ids = [p, q];
+        let mut rng = rng::seeded(93);
+        let target = Matrix::from_fn(5, 4, |_, _| rng.gen_range(0.0..8.0));
+        let bits01 = Matrix::from_fn(5, 4, |_, _| f32::from(u8::from(rng.gen_bool(0.5))));
+        let weights = Matrix::from_fn(1, 4, |_, c| [0.5, 0.0, 0.25, 0.125][c]);
+        // Each loss of `p` (and `q`), fused or composed, scaled by 0.7 and
+        // added to a term in `p` whose gradient reaches it after the loss's.
+        type Loss = fn(&mut Tape, Var, Var, Var, Var) -> Var;
+        let cases: [(&str, Loss, Loss); 3] = [
+            (
+                "weighted_msle",
+                |t, p, _, y, w| t.weighted_msle(p, y, w),
+                |t, p, _, y, w| weighted_msle_composed(t, p, y, w),
+            ),
+            (
+                "bce",
+                |t, p, _, y, _| t.bce(p, y),
+                |t, p, _, y, _| bce_composed(t, p, y),
+            ),
+            (
+                "gaussian_kl",
+                |t, p, q, _, _| t.gaussian_kl(p, q, 0.3),
+                |t, p, q, _, _| gaussian_kl_composed(t, p, q, 0.3),
+            ),
+        ];
+        for (name, fused, composed) in cases {
+            let build = |loss: Loss| {
+                let (target, bits01, weights) = (&target, &bits01, &weights);
+                move |t: &mut Tape, s: &ParamStore| {
+                    let (pv, qv) = (t.param(s, p), t.param(s, q));
+                    // bce reads a probability, the others any value > −1.
+                    let pred = match name {
+                        "bce" => t.sigmoid(pv),
+                        _ => t.tanh(pv),
+                    };
+                    let y = t.input(if name == "bce" {
+                        bits01.clone()
+                    } else {
+                        target.clone()
+                    });
+                    let w = t.input(weights.clone());
+                    let early = t.mean_all(pred);
+                    let l = loss(t, pred, qv, y, w);
+                    let l = t.scale(l, 0.7);
+                    t.add(early, l)
+                }
+            };
+            let (want, got) = (
+                value_and_grads(&mut store, &ids, build(composed)),
+                value_and_grads(&mut store, &ids, build(fused)),
+            );
+            assert_eq!(want.0, got.0, "{name}: value");
+            assert_eq!(want.1, got.1, "{name}: gradients");
+            assert!(got.2 < want.2, "{name}: node count");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be constants")]
+    fn fused_losses_reject_a_learned_target() {
+        let mut store = ParamStore::new();
+        let p = uniform(&mut store, "p", 2, 2, 94);
+        let mut t = Tape::new();
+        let pv = t.param(&store, p);
+        t.bce(pv, pv);
     }
 }

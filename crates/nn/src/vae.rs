@@ -43,10 +43,10 @@ impl VaeConfig {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Vae {
     pub config: VaeConfig,
-    encoder: Mlp,
-    mu_head: Mlp,
-    logvar_head: Mlp,
-    decoder: Mlp,
+    pub encoder: Mlp,
+    pub mu_head: Mlp,
+    pub logvar_head: Mlp,
+    pub decoder: Mlp,
 }
 
 /// Outcome of a training forward pass.
@@ -140,16 +140,7 @@ impl Vae {
         let x_hat = self.decoder.forward(tape, store, z);
         let recon = loss::bce(tape, x_hat, x);
 
-        // KL = -0.5 * mean(1 + logvar - mu^2 - exp(logvar))
-        let mu_sq = tape.square(mu);
-        let var = tape.exp(logvar);
-        let inner = tape.add_scalar(logvar, 1.0);
-        let inner = tape.sub(inner, mu_sq);
-        let inner = tape.sub(inner, var);
-        let kl = tape.mean_all(inner);
-        let kl = tape.scale(kl, -0.5);
-
-        let scaled_kl = tape.scale(kl, beta);
+        let scaled_kl = loss::gaussian_kl(tape, mu, logvar, beta);
         let total = tape.add(recon, scaled_kl);
         VaeForward { z, loss: total }
     }
@@ -220,7 +211,7 @@ impl Vae {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
 
     fn toy_patterns() -> Matrix {
         // Two well-separated binary prototypes repeated with a flipped bit.
@@ -252,7 +243,7 @@ mod tests {
             let fwd = vae.forward_train(&mut t, &store, xv, &mut r, 0.05);
             let l = t.value(fwd.loss).get(0, 0);
             t.backward(fwd.loss, &mut store);
-            opt.step(&mut store);
+            opt.step(&mut store, f32::INFINITY);
             if epoch == 299 {
                 last_loss = l;
             }
@@ -300,7 +291,7 @@ mod tests {
             let xv = t.input(x.clone());
             let fwd = vae.forward_train(&mut t, &store, xv, &mut r, 0.05);
             t.backward(fwd.loss, &mut store);
-            opt.step(&mut store);
+            opt.step(&mut store, f32::INFINITY);
         }
         let z = vae.latent_mean(&store, &x);
         // Rows alternate between the two prototypes; within-prototype latent
