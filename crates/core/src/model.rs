@@ -659,7 +659,7 @@ impl CardNetModel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cardest_nn::{loss, rng, Adam, KernelBackend};
     use rand::rngs::StdRng;
@@ -979,6 +979,181 @@ mod tests {
         let h = tape.matmul(x, w);
         let h = tape.add_row(h, b);
         layer.activation.apply(tape, h)
+    }
+
+    /// [`CardNetModel::forward_train`] with none of the training tape's
+    /// fused ops, the reference of `train`'s step-level gate: each linear
+    /// layer records its product and bias with no activation, and the
+    /// activation follows as its own node; the VAE's losses are their
+    /// primitive ops ([`composed_vae_forward`]). It draws the same noise
+    /// and stacks the same blocks, so its graph computes the same values.
+    pub(crate) fn composed_forward(
+        model: &CardNetModel,
+        tape: &mut Tape,
+        store: &ParamStore,
+        x: Matrix,
+        noise_rng: &mut impl Rng,
+        vae_beta: f32,
+    ) -> ModelForward {
+        let n_out = model.config.n_out;
+        let xv = tape.input(x);
+        let (latent, vae_loss) = match &model.vae {
+            Some(vae) => {
+                let (z, loss) = composed_vae_forward(vae, tape, store, xv, noise_rng, vae_beta);
+                (Some(z), Some(loss))
+            }
+            None => (None, None),
+        };
+        let parts: Vec<Var> = std::iter::once(xv).chain(latent).collect();
+        let z = match (&model.phi, &model.phi_a) {
+            (Some(phi), _) => {
+                let (first, rest) = phi.layers.split_first().expect("Φ has a layer");
+                let e = tape.param(store, model.e);
+                let w1 = tape.param(store, first.w);
+                let b1 = tape.param(store, first.b);
+                let h = tape.pair_linear(&parts, Some(e), w1, b1, Activation::None);
+                let h = first.activation.apply(tape, h);
+                rest.iter()
+                    .fold(h, |h, layer| composed_dense(tape, store, layer, h, n_out))
+            }
+            (None, Some(pa)) => {
+                let first = pa.hidden.first().expect("Φ′ has a layer");
+                let w1 = tape.param(store, first.w);
+                let b1 = tape.param(store, first.b);
+                let h = tape.pair_linear(&parts, None, w1, b1, Activation::None);
+                let mut h = first.activation.apply(tape, h);
+                let mut regions: Vec<Var> = Vec::with_capacity(pa.hidden.len());
+                for (i, ((layer, &head), &width)) in
+                    pa.hidden.iter().zip(&pa.heads).zip(&pa.regions).enumerate()
+                {
+                    if i > 0 {
+                        h = composed_dense(tape, store, layer, h, 1);
+                    }
+                    let head_v = tape.param(store, head);
+                    let block = tape.matmul(h, head_v);
+                    regions.push(tape.stack_col_blocks(block, width));
+                }
+                let z = tape.hconcat(&regions);
+                tape.relu(z)
+            }
+            _ => unreachable!("model has exactly one encoder"),
+        };
+        let dec_w = tape.param(store, model.dec_w);
+        let dec_b = tape.param(store, model.dec_b);
+        let raw = tape.block_dot(z, dec_w, dec_b);
+        let dist = tape.relu(raw);
+        let cum = if model.config.incremental {
+            model.prefix_sum(tape, dist)
+        } else {
+            dist
+        };
+        ModelForward {
+            dist,
+            cum,
+            vae_loss,
+        }
+    }
+
+    /// A dense layer over `blocks` row blocks as [`Tape::linear_blocks`]
+    /// with no activation, then the activation as its own node.
+    fn composed_dense(
+        tape: &mut Tape,
+        store: &ParamStore,
+        layer: &Dense,
+        x: Var,
+        blocks: usize,
+    ) -> Var {
+        let w = tape.param(store, layer.w);
+        let b = tape.param(store, layer.b);
+        let h = tape.linear_blocks(x, w, b, blocks, Activation::None);
+        layer.activation.apply(tape, h)
+    }
+
+    /// `Vae::forward_train` with each layer through [`composed_dense`], the
+    /// reconstruction BCE in 11 primitive nodes and the KL in 8. The layers
+    /// are read off `store` by the names `Mlp::new` registers them under
+    /// (`{mlp}.{i}` for hidden layer `i`, then `{mlp}.out`), with the
+    /// activations `Vae::new` gives them. Returns the latent and the loss.
+    fn composed_vae_forward(
+        vae: &Vae,
+        tape: &mut Tape,
+        store: &ParamStore,
+        x: Var,
+        noise_rng: &mut impl Rng,
+        beta: f32,
+    ) -> (Var, Var) {
+        let param = |name: String| {
+            store
+                .ids()
+                .find(|&id| store.name(id) == name)
+                .unwrap_or_else(|| panic!("no parameter {name}"))
+        };
+        let mlp = |name: &str, hidden: usize, hidden_act: Activation, out_act: Activation| {
+            (0..=hidden)
+                .map(|i| {
+                    let (stem, activation) = if i < hidden {
+                        (format!("{name}.{i}"), hidden_act)
+                    } else {
+                        (format!("{name}.out"), out_act)
+                    };
+                    let w = param(format!("{stem}.w"));
+                    let (in_dim, out_dim) = store.value(w).shape();
+                    Dense {
+                        w,
+                        b: param(format!("{stem}.b")),
+                        activation,
+                        in_dim,
+                        out_dim,
+                    }
+                })
+                .collect::<Vec<_>>()
+        };
+        let depth = vae.config.hidden.len();
+        let encoder = mlp("vae.enc", depth - 1, Activation::Elu, Activation::Elu);
+        let mu_head = mlp("vae.mu", 0, Activation::None, Activation::None);
+        let logvar_head = mlp("vae.logvar", 0, Activation::None, Activation::None);
+        let decoder = mlp("vae.dec", depth, Activation::Elu, Activation::Sigmoid);
+        let run = |tape: &mut Tape, layers: &[Dense], x: Var| {
+            layers
+                .iter()
+                .fold(x, |h, layer| composed_dense(tape, store, layer, h, 1))
+        };
+        let n = tape.value(x).rows();
+        let h = run(tape, &encoder, x);
+        let mu = run(tape, &mu_head, h);
+        let logvar = run(tape, &logvar_head, h);
+        let half_logvar = tape.scale(logvar, 0.5);
+        let sigma = tape.exp(half_logvar);
+        let mut eps = Matrix::zeros(n, vae.latent_dim());
+        rng::fill_normal(noise_rng, eps.as_mut_slice(), 0.0, 1.0);
+        let eps = tape.input(eps);
+        let noise = tape.mul(sigma, eps);
+        let z = tape.add(mu, noise);
+        let x_hat = run(tape, &decoder, z);
+
+        // BCE = −mean(x·ln(x̂ + ε) + (1 − x)·ln(1 − x̂ + ε)).
+        let ln_p = tape.ln_eps(x_hat, 1e-6);
+        let pos = tape.mul(x, ln_p);
+        let one_minus_p = tape.scale(x_hat, -1.0);
+        let one_minus_p = tape.add_scalar(one_minus_p, 1.0);
+        let ln_not_p = tape.ln_eps(one_minus_p, 1e-6);
+        let one_minus_t = tape.scale(x, -1.0);
+        let one_minus_t = tape.add_scalar(one_minus_t, 1.0);
+        let neg = tape.mul(one_minus_t, ln_not_p);
+        let sum = tape.add(pos, neg);
+        let mean = tape.mean_all(sum);
+        let recon = tape.scale(mean, -1.0);
+
+        // KL = −½·mean(1 + logvar − μ² − exp(logvar)), scaled by β.
+        let mu_sq = tape.square(mu);
+        let var = tape.exp(logvar);
+        let inner = tape.add_scalar(logvar, 1.0);
+        let inner = tape.sub(inner, mu_sq);
+        let inner = tape.sub(inner, var);
+        let kl = tape.mean_all(inner);
+        let kl = tape.scale(kl, -0.5);
+        let kl = tape.scale(kl, beta);
+        (z, tape.add(recon, kl))
     }
 
     type TrainForward =

@@ -392,10 +392,11 @@ pub fn train_cardnet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::tests::composed_forward;
     use crate::model::EncoderKind;
     use cardest_data::synth::{hm_imagenet, SynthConfig};
     use cardest_fx::build_extractor;
-    use cardest_nn::KernelBackend;
+    use cardest_nn::{KernelBackend, Var};
 
     fn small_setup() -> (Box<dyn FeatureExtractor>, Workload, Workload) {
         let ds = hm_imagenet(SynthConfig::new(300, 42));
@@ -498,6 +499,169 @@ mod tests {
                     backend.label()
                 );
             }
+        }
+    }
+
+    /// The optimizer the fused [`Adam::step`] replaced, with `Adam::new`'s
+    /// hyperparameters: clip the gradients in place, run Adam's element
+    /// loop, which skips a non-finite gradient with a `continue`, then zero
+    /// the gradients.
+    struct ReferenceAdam {
+        lr: f32,
+        t: i32,
+        m: Vec<Matrix>,
+        v: Vec<Matrix>,
+    }
+
+    impl ReferenceAdam {
+        fn new(lr: f32) -> Self {
+            ReferenceAdam {
+                lr,
+                t: 0,
+                m: Vec::new(),
+                v: Vec::new(),
+            }
+        }
+
+        fn step(&mut self, store: &mut ParamStore, max_norm: f32) {
+            let (b1, b2, eps, lr) = (0.9f32, 0.999f32, 1e-8f32, self.lr);
+            store.clip_grad_norm(max_norm);
+            for id in store.ids().skip(self.m.len()) {
+                let (r, c) = store.value(id).shape();
+                self.m.push(Matrix::zeros(r, c));
+                self.v.push(Matrix::zeros(r, c));
+            }
+            self.t += 1;
+            let bc1 = 1.0 - b1.powi(self.t);
+            let bc2 = 1.0 - b2.powi(self.t);
+            let ids: Vec<_> = store.ids().collect();
+            for (id, (m, v)) in ids.into_iter().zip(self.m.iter_mut().zip(&mut self.v)) {
+                store.update(id, |value, grad| {
+                    let (m, v) = (m.as_mut_slice(), v.as_mut_slice());
+                    for (i, x) in value.as_mut_slice().iter_mut().enumerate() {
+                        let g = grad.as_slice()[i];
+                        if !g.is_finite() {
+                            continue;
+                        }
+                        m[i] = b1 * m[i] + (1.0 - b1) * g;
+                        v[i] = b2 * v[i] + (1.0 - b2) * g * g;
+                        *x -= lr * (m[i] / bc1) / ((v[i] / bc2).sqrt() + eps);
+                    }
+                });
+            }
+            store.zero_grads();
+        }
+    }
+
+    /// [`loss::weighted_msle`] as the seven primitive nodes it replaced.
+    fn composed_weighted_msle(tape: &mut Tape, pred: Var, target: Var, weights: Var) -> Var {
+        let lp = tape.ln1p(pred);
+        let lt = tape.ln1p(target);
+        let diff = tape.sub(lp, lt);
+        let sq = tape.square(diff);
+        let weighted = tape.mul_row(sq, weights);
+        let total = tape.sum_all(weighted);
+        let n = tape.value(pred).rows().max(1) as f32;
+        tape.scale(total, 1.0 / n)
+    }
+
+    /// [`Trainer::step`] on the composed graph and the reference optimizer:
+    /// the model through `model::tests::composed_forward`, each loss as its
+    /// primitive ops. Returns the loss and the gradient norm before the
+    /// clip.
+    fn reference_step(
+        trainer: &mut Trainer,
+        tape: &mut Tape,
+        batch: &TrainTensors,
+        opt: &mut ReferenceAdam,
+    ) -> (f32, f32) {
+        tape.reset(trainer.kernel_parallelism());
+        let fwd = composed_forward(
+            &trainer.model,
+            tape,
+            &trainer.store,
+            batch.x.clone(),
+            &mut trainer.rng,
+            0.1,
+        );
+        let cum_t = tape.input(batch.cum.clone());
+        let dist_targets = if trainer.model.config.incremental {
+            batch.dist.clone()
+        } else {
+            batch.cum.clone()
+        };
+        let dist_t = tape.input(dist_targets);
+        let p = tape.input(trainer.p_tau.clone());
+        let main = composed_weighted_msle(tape, fwd.cum, cum_t, p);
+        let w = tape.input(trainer.omega.clone());
+        let per_dist = composed_weighted_msle(tape, fwd.dist, dist_t, w);
+        let scaled = tape.scale(per_dist, trainer.options.lambda_delta);
+        let total = tape.add(main, scaled);
+        let vae = fwd.vae_loss.expect("VAE enabled");
+        let scaled = tape.scale(vae, trainer.options.lambda_vae);
+        let total = tape.add(total, scaled);
+        let value = tape.value(total).get(0, 0);
+        tape.backward(total, &mut trainer.store);
+        let norm = trainer.store.grad_norm();
+        opt.step(&mut trainer.store, 5.0);
+        (value, norm)
+    }
+
+    /// Three [`Trainer::step`]s of CardNet and of CardNet-A, with the VAE
+    /// and the dynamic ω term, leave every parameter, gradient and loss bit
+    /// for bit where the same steps through the composed graph and the
+    /// reference optimizer leave them, on a tape with fewer nodes. The
+    /// second batch's targets are scaled up until the clip fires on it.
+    #[test]
+    fn fused_training_steps_match_unfused_reference_bitwise() {
+        let (fx, train_wl, _) = small_setup();
+        let data = prepare_tensors(&train_wl, fx.as_ref());
+        for enc in [EncoderKind::Shared, EncoderKind::Accelerated] {
+            let cfg = tiny_config(fx.as_ref(), enc);
+            let n_out = cfg.n_out;
+            let p_tau: Vec<f32> = (0..n_out).map(|i| (i + 1) as f32 / 100.0).collect();
+            let trainer = || {
+                let mut t = Trainer::new(cfg.clone(), TrainerOptions::quick(), p_tau.clone());
+                t.omega = Matrix::from_fn(1, n_out, |_, i| if i % 2 == 0 { 0.3 } else { 0.05 });
+                t
+            };
+            let (mut fused, mut reference) = (trainer(), trainer());
+            assert!(fused.options.dynamic && fused.options.lambda_delta > 0.0);
+            let lr = fused.options.learning_rate;
+            let (mut opt, mut ref_opt) = (Adam::new(lr), ReferenceAdam::new(lr));
+            let (mut tape, mut ref_tape) = (Tape::new(), Tape::new());
+            let mut clipped = Vec::new();
+            for step in 0..3 {
+                let rows: Vec<usize> = (step * 32..step * 32 + 32).collect();
+                let mut batch = data.batch(&rows);
+                if step == 1 {
+                    for t in [&mut batch.cum, &mut batch.dist] {
+                        t.as_mut_slice()
+                            .iter_mut()
+                            .for_each(|v| *v = *v * 1e4 + 1e3);
+                    }
+                }
+                let got = fused.step(&mut tape, &batch, &mut opt);
+                let (want, norm) =
+                    reference_step(&mut reference, &mut ref_tape, &batch, &mut ref_opt);
+                clipped.push(norm > 5.0);
+                let cell = format!("{enc:?} step {step}");
+                assert_eq!(got.to_bits(), want.to_bits(), "{cell}: loss");
+                assert!(tape.len() < ref_tape.len(), "{cell}: node count");
+                for id in reference.store.ids() {
+                    let name = reference.store.name(id);
+                    let same = |a: &Matrix, b: &Matrix| {
+                        a.as_slice()
+                            .iter()
+                            .zip(b.as_slice())
+                            .all(|(a, b)| a.to_bits() == b.to_bits())
+                    };
+                    let (w, g) = (&reference.store, &fused.store);
+                    assert!(same(w.value(id), g.value(id)), "{cell}: {name} value");
+                    assert!(same(w.grad(id), g.grad(id)), "{cell}: {name} gradient");
+                }
+            }
+            assert_eq!(clipped, [false, true, false], "{enc:?}: clip pattern");
         }
     }
 

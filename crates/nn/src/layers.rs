@@ -36,28 +36,68 @@ impl Activation {
         }
     }
 
-    /// Applies the activation directly to a matrix (inference fast path).
-    pub fn apply_matrix(self, m: &mut Matrix) {
-        match self {
-            Activation::None => {}
-            Activation::Relu => m.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0)),
-            Activation::Elu => m
-                .as_mut_slice()
-                .iter_mut()
-                .for_each(|v| *v = if *v > 0.0 { *v } else { v.exp() - 1.0 }),
-            Activation::Sigmoid => m.as_mut_slice().iter_mut().for_each(|v| {
-                *v = if *v >= 0.0 {
-                    1.0 / (1.0 + (-*v).exp())
-                } else {
-                    v.exp() / (1.0 + v.exp())
+    /// `m[r] = act(m[r] + bias)` for every row `r`, `bias` a `1 x m` row:
+    /// the bias pass of the inference path ([`Dense::finish`]) and of the
+    /// tape's fused linear ops. The per-element functions below are the
+    /// only definition of each activation; the tape's separate activation
+    /// ops use them too, so every path computes the same bits.
+    pub(crate) fn apply_with_bias(self, m: &mut Matrix, bias: &Matrix) {
+        fn pass(m: &mut Matrix, bias: &Matrix, f: impl Fn(f32) -> f32) {
+            for r in 0..m.rows() {
+                for (v, &b) in m.row_mut(r).iter_mut().zip(bias.row(0)) {
+                    *v = f(*v + b);
                 }
-            }),
-            Activation::Tanh => m.as_mut_slice().iter_mut().for_each(|v| *v = v.tanh()),
-            Activation::Softplus => m
-                .as_mut_slice()
-                .iter_mut()
-                .for_each(|v| *v = if *v > 20.0 { *v } else { v.exp().ln_1p() }),
+            }
         }
+        assert_eq!(
+            bias.shape(),
+            (1, m.cols()),
+            "bias must be a 1 x {} row",
+            m.cols()
+        );
+        match self {
+            Activation::None => pass(m, bias, |v| v),
+            Activation::Relu => pass(m, bias, relu),
+            Activation::Elu => pass(m, bias, |v| elu(v, 1.0)),
+            Activation::Sigmoid => pass(m, bias, stable_sigmoid),
+            Activation::Tanh => pass(m, bias, f32::tanh),
+            Activation::Softplus => pass(m, bias, stable_softplus),
+        }
+    }
+}
+
+#[inline]
+pub(crate) fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
+
+#[inline]
+pub(crate) fn elu(x: f32, alpha: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        alpha * (x.exp() - 1.0)
+    }
+}
+
+#[inline]
+pub(crate) fn stable_sigmoid(x: f32) -> f32 {
+    if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
+    }
+}
+
+#[inline]
+pub(crate) fn stable_softplus(x: f32) -> f32 {
+    if x > 20.0 {
+        x
+    } else if x < -20.0 {
+        x.exp()
+    } else {
+        x.exp().ln_1p()
     }
 }
 
@@ -135,15 +175,9 @@ impl Dense {
     }
 
     /// Turns the pre-activation `x @ W` into the layer output in place: adds
-    /// the bias to every row, then applies the activation.
+    /// the bias to every row and applies the activation.
     pub fn finish(&self, store: &ParamStore, h: &mut Matrix) {
-        let b = store.value(self.b);
-        for r in 0..h.rows() {
-            for (v, &bias) in h.row_mut(r).iter_mut().zip(b.row(0)) {
-                *v += bias;
-            }
-        }
-        self.activation.apply_matrix(h);
+        self.activation.apply_with_bias(h, store.value(self.b));
     }
 
     /// Number of scalar parameters in this layer.

@@ -44,7 +44,7 @@
 //! differences in this module's tests.
 
 use crate::kernels::{matmul_t_slices, t_matmul_slices, Parallelism};
-use crate::layers::Activation;
+use crate::layers::{elu, relu, stable_sigmoid, stable_softplus, Activation};
 use crate::matrix::{Matrix, Weights};
 use crate::params::{ParamId, ParamStore};
 
@@ -357,7 +357,7 @@ impl Tape {
         assert_eq!(bm.rows(), 1, "add_row bias must be a row vector");
         assert_eq!(am.cols(), bm.cols(), "add_row width mismatch");
         let mut value = self.spare.map(am, |v| v);
-        add_bias(&mut value, bm);
+        Activation::None.apply_with_bias(&mut value, bm);
         self.push(value, Op::AddRow(a.0, bias.0))
     }
 
@@ -391,7 +391,7 @@ impl Tape {
         let mut value = self.spare.zeros(xm.rows(), wm.cols());
         xm.matmul_acc_with(Weights::scan(wm), &mut value, self.par);
         let fused = fusable(act);
-        add_bias_act(&mut value, &self.nodes[bias.0].value, fused);
+        fused.apply_with_bias(&mut value, &self.nodes[bias.0].value);
         let h = self.push(value, Op::Linear(x.0, w.0, bias.0, blocks, fused));
         self.finish_unfused(h, act)
     }
@@ -465,7 +465,7 @@ impl Tape {
         }
         let Some(e) = e else {
             assert_eq!(rest.rows(), 0, "pair_linear: w has rows past the parts");
-            add_bias_act(&mut partial, &self.nodes[bias.0].value, fused);
+            fused.apply_with_bias(&mut partial, &self.nodes[bias.0].value);
             let h = self.push(partial, Op::PairLinear(offsets, None, w.0, bias.0, fused));
             return self.finish_unfused(h, act);
         };
@@ -486,7 +486,7 @@ impl Tape {
             }
         }
         e_rows.matmul_acc_with(rest, &mut value, self.par);
-        add_bias_act(&mut value, &self.nodes[bias.0].value, fused);
+        fused.apply_with_bias(&mut value, &self.nodes[bias.0].value);
         self.spare.put(e_rows);
         self.spare.put(partial);
         let h = self.push(
@@ -1259,21 +1259,6 @@ impl Tape {
     }
 }
 
-/// Adds the `1 x m` row `bias` to every row of `m`.
-fn add_bias(m: &mut Matrix, bias: &Matrix) {
-    assert_eq!(
-        bias.shape(),
-        (1, m.cols()),
-        "bias must be a 1 x {} row",
-        m.cols()
-    );
-    for r in 0..m.rows() {
-        for (v, &b) in m.row_mut(r).iter_mut().zip(bias.row(0)) {
-            *v += b;
-        }
-    }
-}
-
 /// Asserts that `m`'s rows split into `blocks` equal blocks.
 fn assert_row_blocks(m: &Matrix, blocks: usize) {
     assert!(
@@ -1305,33 +1290,6 @@ fn fusable(act: Activation) -> Activation {
     match act {
         Activation::Softplus => Activation::None,
         a => a,
-    }
-}
-
-/// `m[r] = act(m[r] + bias)` for every row `r`, `bias` a `1 x m` row: the
-/// bias pass of a linear op, and the forward of the separate activation
-/// op on its result.
-fn add_bias_act(m: &mut Matrix, bias: &Matrix, act: Activation) {
-    fn pass(m: &mut Matrix, bias: &Matrix, f: impl Fn(f32) -> f32) {
-        for r in 0..m.rows() {
-            for (v, &b) in m.row_mut(r).iter_mut().zip(bias.row(0)) {
-                *v = f(*v + b);
-            }
-        }
-    }
-    assert_eq!(
-        bias.shape(),
-        (1, m.cols()),
-        "bias must be a 1 x {} row",
-        m.cols()
-    );
-    match act {
-        Activation::None => pass(m, bias, |v| v),
-        Activation::Relu => pass(m, bias, relu),
-        Activation::Elu => pass(m, bias, |v| elu(v, 1.0)),
-        Activation::Sigmoid => pass(m, bias, stable_sigmoid),
-        Activation::Tanh => pass(m, bias, f32::tanh),
-        Activation::Softplus => unreachable!("softplus is never fused"),
     }
 }
 
@@ -1367,20 +1325,6 @@ fn add_chunks_last_first(src: &[f32], out: &mut [f32]) {
 
 /// The `ε` of [`Tape::bce`].
 const BCE_EPS: f32 = 1e-6;
-
-#[inline]
-fn relu(x: f32) -> f32 {
-    x.max(0.0)
-}
-
-#[inline]
-fn elu(x: f32, alpha: f32) -> f32 {
-    if x > 0.0 {
-        x
-    } else {
-        alpha * (x.exp() - 1.0)
-    }
-}
 
 /// The gradient of ReLU's input, from that of its output `y`.
 #[inline]
@@ -1426,27 +1370,6 @@ fn ln1p_grad(g: f32, x: f32) -> f32 {
 #[inline]
 fn clamped_exp(x: f32) -> f32 {
     x.clamp(-30.0, 30.0).exp()
-}
-
-#[inline]
-fn stable_sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
-#[inline]
-fn stable_softplus(x: f32) -> f32 {
-    if x > 20.0 {
-        x
-    } else if x < -20.0 {
-        x.exp()
-    } else {
-        x.exp().ln_1p()
-    }
 }
 
 #[cfg(test)]
@@ -1775,7 +1698,7 @@ mod tests {
             }
         });
         let mut want = cat.matmul(store.value(w));
-        add_bias(&mut want, store.value(b));
+        Activation::None.apply_with_bias(&mut want, store.value(b));
         let got = t.value(y);
         assert!(want
             .as_slice()

@@ -43,10 +43,10 @@ impl VaeConfig {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Vae {
     pub config: VaeConfig,
-    pub encoder: Mlp,
-    pub mu_head: Mlp,
-    pub logvar_head: Mlp,
-    pub decoder: Mlp,
+    encoder: Mlp,
+    mu_head: Mlp,
+    logvar_head: Mlp,
+    decoder: Mlp,
 }
 
 /// Outcome of a training forward pass.
