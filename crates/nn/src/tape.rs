@@ -95,8 +95,9 @@ enum Op {
     Square(usize),
     /// Element-wise `1/x`.
     Recip(usize),
-    /// [`Tape::weighted_msle`]: `(pred, target, weights)`.
-    WeightedMsle(usize, usize, usize),
+    /// [`Tape::weighted_msle`]: `(pred, target, weights, d)`, `d` the
+    /// per-element `ln1p(pred) − ln1p(target)` that backward reads.
+    WeightedMsle(usize, usize, usize, Matrix),
     /// [`Tape::bce`]: `(pred, target)`.
     Bce(usize, usize),
     /// [`Tape::gaussian_kl`]: `(mu, logvar, beta)`.
@@ -127,7 +128,7 @@ impl Op {
             | Op::MulCol(a, b)
             | Op::Bce(a, b)
             | Op::GaussianKl(a, b, _) => f(*a) || f(*b),
-            Op::Linear(x, w, b, _, _) | Op::BlockDot(x, w, b) | Op::WeightedMsle(x, w, b) => {
+            Op::Linear(x, w, b, _, _) | Op::BlockDot(x, w, b) | Op::WeightedMsle(x, w, b, _) => {
                 f(*x) || f(*w) || f(*b)
             }
             Op::PairLinear(parts, e, w, b, _) => {
@@ -283,6 +284,9 @@ impl Tape {
             self.spare.put(node.value);
             if let Some(g) = node.grad {
                 self.spare.put(g);
+            }
+            if let Op::WeightedMsle(.., d) = node.op {
+                self.spare.put(d);
             }
         }
         self.spare.next_pass();
@@ -662,17 +666,14 @@ impl Tape {
             "weighted_msle weights must be 1 x m"
         );
         self.assert_constant(&[target, weights], "weighted_msle");
+        let d = self.spare.zip(pm, tm, |p, t| ln1p(p) - ln1p(t));
         let cols = pm.cols().max(1);
-        let total: f32 = (pm.as_slice().iter().zip(tm.as_slice()))
-            .enumerate()
-            .map(|(i, (&p, &t))| {
-                let d = ln1p(p) - ln1p(t);
-                d * d * wm.get(0, i % cols)
-            })
+        let total: f32 = (d.as_slice().iter().enumerate())
+            .map(|(i, &d)| d * d * wm.get(0, i % cols))
             .sum();
         let k = 1.0 / pm.rows().max(1) as f32;
         let value = Matrix::from_vec(1, 1, vec![k * total]);
-        self.push(value, Op::WeightedMsle(pred.0, target.0, weights.0))
+        self.push(value, Op::WeightedMsle(pred.0, target.0, weights.0, d))
     }
 
     /// Mean binary cross-entropy `−mean(t·ln(p + ε) + (1 − t)·ln(1 − p + ε))`
@@ -1156,20 +1157,15 @@ impl Tape {
                     let out = &self.nodes[i].value;
                     deltas.push((*a, zip_into(grad, out, |g, y| -g * y * y)));
                 }
-                Op::WeightedMsle(p, t, w) => {
-                    let (pm, tm, wm) = (
-                        &self.nodes[*p].value,
-                        &self.nodes[*t].value,
-                        &self.nodes[*w].value,
-                    );
+                Op::WeightedMsle(p, _, w, d) => {
+                    let (pm, wm) = (&self.nodes[*p].value, &self.nodes[*w].value);
                     // Scale, sum_all, mul_row, square, sub, ln1p.
                     let d_total = grad.get(0, 0) * (1.0 / pm.rows().max(1) as f32);
                     let mut dp = spare.zeros(pm.rows(), pm.cols());
                     for r in 0..pm.rows() {
-                        let rows = dp.row_mut(r).iter_mut().zip(pm.row(r)).zip(tm.row(r));
-                        for (((o, &pv), &tv), &wv) in rows.zip(wm.row(0)) {
-                            let d = ln1p(pv) - ln1p(tv);
-                            *o = ln1p_grad(2.0 * (d_total * wv) * d, pv);
+                        let rows = dp.row_mut(r).iter_mut().zip(pm.row(r)).zip(d.row(r));
+                        for (((o, &pv), &dv), &wv) in rows.zip(wm.row(0)) {
+                            *o = ln1p_grad(2.0 * (d_total * wv) * dv, pv);
                         }
                     }
                     deltas.push((*p, dp));
