@@ -23,8 +23,6 @@
 //! (Argument parsing is hand-rolled: the workspace's dependency policy has no
 //! CLI-parser crate, and a handful of subcommands does not justify one.)
 
-#![forbid(unsafe_code)]
-
 use cardest_core::estimator::CardinalityEstimator;
 use cardest_core::model::CardNetConfig;
 use cardest_core::snapshot::Snapshot;
@@ -291,7 +289,6 @@ fn serve_config_from_flags(flags: &Flags) -> Result<ServeConfig, String> {
         cache_capacity: parsed(flags, "cache", defaults.cache_capacity)?,
         bound_tolerance: parsed(flags, "bound-tolerance", 0.0)?,
         cache_curve_points: parsed(flags, "cache-curve-points", 0usize)?,
-        kernel_threads: defaults.kernel_threads,
         kernel_backend: kernel_backend_flag(flags)?,
         tracing: !flags.contains_key("no-tracing"),
         trace_sample: parsed(flags, "trace-sample", defaults.trace_sample)?,
@@ -300,6 +297,7 @@ fn serve_config_from_flags(flags: &Flags) -> Result<ServeConfig, String> {
             "slow-threshold-ms",
             defaults.slow_threshold.as_millis() as u64,
         )?),
+        ..defaults
     })
 }
 

@@ -5,8 +5,6 @@
 //! into estimation + execution) and planning precision — the fraction of
 //! queries where the chosen plan is the actually-cheapest one.
 
-#![forbid(unsafe_code)]
-
 use cardest_baselines::dnn::DnnOptions;
 use cardest_baselines::gbt::GbtOptions;
 use cardest_baselines::rmi::RmiOptions;

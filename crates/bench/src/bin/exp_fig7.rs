@@ -2,8 +2,6 @@
 //! datasets. The paper's finding: all models degrade with less data, but
 //! CardNet{-A} degrades the most gracefully.
 
-#![forbid(unsafe_code)]
-
 use cardest_bench::report::{evaluate, print_header, print_row};
 use cardest_bench::zoo::{train_model, ModelKind};
 use cardest_bench::{Bundle, Scale};

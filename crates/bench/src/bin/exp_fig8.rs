@@ -4,8 +4,6 @@
 //! retraining at checkpoints), and `+Sample` (the stale model plus a
 //! sampling-based correction on the delta).
 
-#![forbid(unsafe_code)]
-
 use cardest_bench::report::evaluate;
 use cardest_bench::zoo::{cardnet_config, trainer_options};
 use cardest_bench::{Bundle, Scale};

@@ -6,8 +6,6 @@
 //! uniform samples; and trained on a single *skewed* sample (uniform over
 //! k-medoids clusters) while testing on multiple uniform samples.
 
-#![forbid(unsafe_code)]
-
 use cardest_bench::report::{evaluate, print_header, print_row};
 use cardest_bench::zoo::{train_model, ModelKind};
 use cardest_bench::{Bundle, Scale};

@@ -2,8 +2,6 @@
 //! max/average widths, distance functions, and θ_max, mirroring the paper's
 //! dataset table (plus the Table 8 high-dimensional extras).
 
-#![forbid(unsafe_code)]
-
 use cardest_bench::Scale;
 use cardest_data::synth::{default_suite, hm_highdim, SynthConfig};
 

@@ -1,8 +1,6 @@
 //! Table 6: average estimation time (milliseconds) of every model, plus the
 //! time to actually *run* the exact similarity selection (`SimSelect`).
 
-#![forbid(unsafe_code)]
-
 use cardest_bench::report::{avg_estimation_ms, print_header, print_row};
 use cardest_bench::zoo::{train_model, ModelKind};
 use cardest_bench::{Bundle, Scale};

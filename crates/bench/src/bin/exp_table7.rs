@@ -11,8 +11,6 @@
 //! far more than the q-errors they come from, so a training change is
 //! checked against the raw values.
 
-#![forbid(unsafe_code)]
-
 use cardest_bench::report::evaluate;
 use cardest_bench::zoo::{cardnet_config, trainer_options};
 use cardest_bench::{Bundle, Scale};

@@ -4,8 +4,6 @@
 //! CARDEST_SCALE=quick cargo run --release -p cardest-bench --bin run_all
 //! ```
 
-#![forbid(unsafe_code)]
-
 use std::process::Command;
 
 const EXPERIMENTS: &[&str] = &[

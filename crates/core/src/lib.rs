@@ -61,8 +61,6 @@
 //! assert_eq!(curve.last().to_bits(), est.estimate(&query, ds.theta_max).to_bits());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod estimator;
 pub mod features;
 pub mod incremental;

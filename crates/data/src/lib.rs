@@ -7,8 +7,6 @@
 //! downstream — feature extraction, the estimators, the optimizer case
 //! studies — is agnostic to where the records came from.
 
-#![forbid(unsafe_code)]
-
 pub mod bitvec;
 pub mod dataset;
 pub mod dist;

@@ -27,8 +27,6 @@
 //! assert!(*taus.last().unwrap() <= fx.tau_max());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod edit;
 pub mod hamming;
 pub mod minhash;

@@ -5,5 +5,3 @@
 //! optimizer correctness, persistence).
 //!
 //! The crate itself exports nothing.
-
-#![forbid(unsafe_code)]

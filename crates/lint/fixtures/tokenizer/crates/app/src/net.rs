@@ -1,7 +1,7 @@
 //! Tokenizer torture fixture: every line here LOOKS like a violation to a
 //! naive regex but is actually inert (inside strings, comments, raw strings,
-//! char literals). The file is named `net.rs` so the hostile-input rule
-//! applies; a correct lexer reports zero findings.
+//! char literals). The file is named `net.rs` so the hostile-length-taint
+//! pass reads it; a correct lexer reports zero findings.
 
 // A line comment mentioning unsafe { x.unwrap() } and buf[0] and panic!().
 

@@ -11,8 +11,6 @@
 //! cargo run -p cardest-lint -- PATH            # lint a different workspace root
 //! ```
 
-#![forbid(unsafe_code)]
-
 use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;

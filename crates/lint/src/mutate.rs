@@ -3,19 +3,19 @@
 //! "The tree lints clean" is a weak statement on its own — a rule with a
 //! silent matching bug lints clean too. This harness turns the claim into a
 //! measurement: for every rule × every target crate it seeds **one**
-//! representative violation into an in-memory copy of the real tree (drop a
-//! SAFETY comment, remove a length clamp, nest one lock inside another,
-//! un-justify a channel), reruns the full analysis, and records whether the
-//! rule *killed* the mutant — i.e. produced a finding of that rule in the
-//! mutated file. CI runs `cardest-lint --mutate` and fails below a 100 %
-//! kill rate, then uploads the matrix as `lint-mutation-matrix.json`.
+//! representative violation into an in-memory copy of the real tree (remove
+//! a length clamp, nest one lock inside another, un-justify a channel),
+//! reruns the full analysis, and records whether the rule *killed* the
+//! mutant — i.e. produced a finding of that rule in the mutated file. CI
+//! runs `cardest-lint --mutate` and fails below a 100 % kill rate, then
+//! uploads the matrix as `lint-mutation-matrix.json`.
 //!
 //! Mutants never touch disk and never need to compile: the linter operates
-//! on masked token streams, so an injected `pub unsafe fn` referencing
-//! nothing is as good a probe as a real one. In-place mutations (the nn
-//! SAFETY drop, the serve clamp removal) rewrite existing lines so the
-//! harness also exercises each rule's justification-recognition path, not
-//! just its match path.
+//! on masked token streams, so an injected lock nesting over fields nothing
+//! else uses is as good a probe as a real one. In-place mutations (the serve
+//! clamp removal, the serve channel's lost `// capacity:`) rewrite existing
+//! lines so the harness also exercises each rule's justification-recognition
+//! path, not just its match path.
 
 use std::io;
 
@@ -24,15 +24,13 @@ use crate::{run_sources, scan_set, Config, SourceFile};
 
 /// Crates the harness seeds violations into: the serving layer (the attack
 /// surface), observability (shared concurrent state), the metrics core, and
-/// the SIMD kernel crate (the unsafe surface).
+/// the SIMD kernel crate.
 pub const TARGET_CRATES: &[&str] = &["serve", "obs", "core", "nn"];
 
 /// How one mutant rewrites the in-memory tree.
 enum Mutation {
     /// Add a new source file at `rel`.
     AddFile { rel: String, content: String },
-    /// Append source text to the existing file at `rel`.
-    Append { rel: String, content: String },
     /// Replace the first occurrence of `find` in `rel` with `replace`.
     Replace {
         rel: String,
@@ -45,9 +43,7 @@ impl Mutation {
     /// The file the seeded violation lives in (where the kill must land).
     fn primary(&self) -> &str {
         match self {
-            Mutation::AddFile { rel, .. }
-            | Mutation::Append { rel, .. }
-            | Mutation::Replace { rel, .. } => rel,
+            Mutation::AddFile { rel, .. } | Mutation::Replace { rel, .. } => rel,
         }
     }
 
@@ -61,13 +57,6 @@ impl Mutation {
                     return Err(other(format!("mutant file `{rel}` already exists")));
                 }
                 out.push(SourceFile::from_source(rel, content));
-            }
-            Mutation::Append { rel, content } => {
-                let f = find_mut(&mut out, rel)?;
-                let mut text = f.raw.join("\n");
-                text.push('\n');
-                text.push_str(content);
-                *f = SourceFile::from_source(rel, &text);
             }
             Mutation::Replace { rel, find, replace } => {
                 let f = find_mut(&mut out, rel)?;
@@ -101,35 +90,6 @@ fn other(msg: String) -> io::Error {
 fn mutant_for(rule: Rule, krate: &str) -> Option<Mutation> {
     let src = |name: &str| format!("crates/{krate}/src/{name}");
     match rule {
-        Rule::UnsafeSafety => Some(if krate == "nn" {
-            // Drop a real SAFETY comment off a real unsafe SIMD dispatch.
-            Mutation::Replace {
-                rel: src("kernels.rs"),
-                find: "// SAFETY: simd_level() observed AVX-512F".to_string(),
-                replace: "// NB: simd_level() observed AVX-512F".to_string(),
-            }
-        } else {
-            Mutation::AddFile {
-                rel: src("injected_unsafe.rs"),
-                content: "pub unsafe fn injected_raw(p: *const u8) -> u8 {\n    *p\n}\n"
-                    .to_string(),
-            }
-        }),
-        Rule::NoPanicHostile => {
-            let content = "pub fn injected_first(v: &[u8]) -> u8 {\n    v[0]\n}\n".to_string();
-            Some(if krate == "serve" {
-                // serve already owns a hostile decode file; extend it.
-                Mutation::Append {
-                    rel: src("wire.rs"),
-                    content,
-                }
-            } else {
-                Mutation::AddFile {
-                    rel: src("http.rs"),
-                    content,
-                }
-            })
-        }
         Rule::AtomicsOrdering => Some(Mutation::AddFile {
             rel: src("injected_atomics.rs"),
             content: "use std::sync::atomic::{AtomicU64, Ordering};\n\n\

@@ -13,10 +13,6 @@ use crate::{Config, Finding, Inventory, Site, SourceFile};
 /// in suppression comments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// Every `unsafe` block or fn carries a SAFETY justification.
-    UnsafeSafety,
-    /// No panicking constructs in non-test code of hostile-input files.
-    NoPanicHostile,
     /// SeqCst, and Relaxed in RMW/flag-publish position, need justification.
     AtomicsOrdering,
     /// Hot-path-marked functions must not allocate.
@@ -41,9 +37,7 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in the order `--list-rules` prints them.
-    pub const ALL: [Rule; 10] = [
-        Rule::UnsafeSafety,
-        Rule::NoPanicHostile,
+    pub const ALL: [Rule; 8] = [
         Rule::AtomicsOrdering,
         Rule::NoAllocHotPath,
         Rule::LockOrder,
@@ -56,8 +50,6 @@ impl Rule {
 
     pub fn name(self) -> &'static str {
         match self {
-            Rule::UnsafeSafety => "unsafe-safety-comment",
-            Rule::NoPanicHostile => "no-panic-on-hostile-input",
             Rule::AtomicsOrdering => "atomics-ordering-audit",
             Rule::NoAllocHotPath => "no-alloc-in-hot-path",
             Rule::LockOrder => "lock-order",
@@ -72,10 +64,6 @@ impl Rule {
     /// One-line description for `--list-rules`.
     pub fn doc(self) -> &'static str {
         match self {
-            Rule::UnsafeSafety => "every `unsafe` block/fn carries a SAFETY justification",
-            Rule::NoPanicHostile => {
-                "no panicking constructs in non-test code of hostile-input decode files"
-            }
             Rule::AtomicsOrdering => {
                 "SeqCst, and Relaxed in RMW/flag-publish position, need an `// ordering:` comment"
             }
@@ -236,112 +224,7 @@ fn site(f: &SourceFile, i: usize) -> Site {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 1: unsafe-safety-comment
-// ---------------------------------------------------------------------------
-
-fn has_safety_comment(f: &SourceFile, line: usize) -> bool {
-    context_lines(f, line)
-        .into_iter()
-        .any(|i| f.comment[i].contains("SAFETY") || f.comment[i].contains("# Safety"))
-}
-
-// ---------------------------------------------------------------------------
-// Rule 2: no-panic-on-hostile-input
-// ---------------------------------------------------------------------------
-
-const PANIC_METHODS: &[&str] = &[
-    "unwrap",
-    "expect",
-    "unwrap_err",
-    "expect_err",
-    "unwrap_unchecked",
-];
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// Rust keywords that may lexically precede `[` without forming an index
-/// expression (`&mut [f32]`, `let [a, b] = …`, `return [0; 4]`, …).
-const KEYWORDS: &[&str] = &[
-    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
-    "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
-    "mut", "pub", "ref", "return", "static", "struct", "super", "trait", "true", "type", "union",
-    "unsafe", "use", "where", "while",
-];
-
-/// Position of a direct index expression `expr[…]` on this line, if any.
-/// Heuristic: `[` preceded (ignoring spaces) by an identifier that is not a
-/// keyword, or by `)`, `]`, or `?` — which excludes attributes, `vec![…]`,
-/// slice types, array literals, and slice patterns.
-fn index_position(line: &str) -> Option<usize> {
-    let b = line.as_bytes();
-    for (p, &c) in b.iter().enumerate() {
-        if c != b'[' {
-            continue;
-        }
-        let mut q = p;
-        while q > 0 && (b[q - 1] == b' ' || b[q - 1] == b'\t') {
-            q -= 1;
-        }
-        if q == 0 {
-            continue;
-        }
-        let prev = b[q - 1];
-        if prev == b')' || prev == b']' || prev == b'?' {
-            return Some(p);
-        }
-        if is_ident_byte(prev) {
-            let mut s = q - 1;
-            while s > 0 && is_ident_byte(b[s - 1]) {
-                s -= 1;
-            }
-            // A lifetime (`&'a [u8]`) is a type position, not an index.
-            let is_lifetime = s > 0 && b[s - 1] == b'\'';
-            if let Some(ident) = line.get(s..q) {
-                if !KEYWORDS.contains(&ident) && !is_lifetime {
-                    return Some(p);
-                }
-            }
-        }
-    }
-    None
-}
-
-fn check_hostile_line(f: &SourceFile, i: usize, findings: &mut Vec<Finding>) {
-    let code = &f.code[i];
-    let mut push = |msg: String| {
-        if !suppressed(f, i, Rule::NoPanicHostile) {
-            findings.push(Finding {
-                file: f.rel.clone(),
-                line: i + 1,
-                rule: Rule::NoPanicHostile,
-                message: msg,
-            });
-        }
-    };
-    for m in PANIC_METHODS {
-        if method_call(code, m).is_some() {
-            push(format!(
-                "`.{m}()` can panic on hostile input; propagate a typed error instead"
-            ));
-        }
-    }
-    for m in PANIC_MACROS {
-        if macro_call(code, m).is_some() {
-            push(format!(
-                "`{m}!` is reachable from hostile input; return an error instead"
-            ));
-        }
-    }
-    if index_position(code).is_some() {
-        push(
-            "direct slice/array indexing can panic on hostile input; use `.get()` or a \
-             length-checked helper"
-                .to_string(),
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 3: atomics-ordering-audit
+// Rule 1: atomics-ordering-audit
 // ---------------------------------------------------------------------------
 
 /// RMW operations where a Relaxed result is only conventionally fine when
@@ -444,7 +327,7 @@ fn check_atomics_line(f: &SourceFile, i: usize, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: no-alloc-in-hot-path
+// Rule 2: no-alloc-in-hot-path
 // ---------------------------------------------------------------------------
 
 const ALLOC_PATHS: &[&str] = &[
@@ -543,7 +426,7 @@ fn check_hot_paths(f: &SourceFile, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 9: channel-capacity-audit
+// Rule 7: channel-capacity-audit
 // ---------------------------------------------------------------------------
 
 /// `capacity:` marker in a comment (case-insensitive), mirroring the
@@ -680,29 +563,17 @@ fn check_suppressions(f: &SourceFile, findings: &mut Vec<Finding>) {
 // Per-file driver
 // ---------------------------------------------------------------------------
 
-pub fn check_file(cfg: &Config, f: &SourceFile, findings: &mut Vec<Finding>, inv: &mut Inventory) {
+pub fn check_file(f: &SourceFile, findings: &mut Vec<Finding>, inv: &mut Inventory) {
     check_suppressions(f, findings);
-    let hostile = cfg.is_hostile(&f.rel);
     for i in 0..f.code.len() {
         let code = &f.code[i];
         if find_word(code, "unsafe").is_some() {
             inv.unsafe_sites.push(site(f, i));
-            if !has_safety_comment(f, i) && !suppressed(f, i, Rule::UnsafeSafety) {
-                findings.push(Finding {
-                    file: f.rel.clone(),
-                    line: i + 1,
-                    rule: Rule::UnsafeSafety,
-                    message: "`unsafe` without an adjacent `SAFETY:` justification".to_string(),
-                });
-            }
         }
         if code.contains("Ordering::") {
             inv.atomics.push(site(f, i));
         }
         if !f.is_test[i] {
-            if hostile {
-                check_hostile_line(f, i, findings);
-            }
             check_atomics_line(f, i, findings);
         }
     }
@@ -756,7 +627,7 @@ pub(crate) fn fn_spans(code: &[String]) -> Vec<(String, usize, usize)> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 6: instant-outside-span
+// Rule 4: instant-outside-span
 // ---------------------------------------------------------------------------
 
 /// `timing:` marker in a comment (case-insensitive), mirroring the

@@ -44,49 +44,11 @@ fn assert_clean(case: &str) {
 #[test]
 fn tokenizer_tricky_cases_produce_no_findings() {
     assert_clean("tokenizer");
+    // `unsafe` appears there only in comments and literals.
+    assert!(lint_fixture("tokenizer").inventory.unsafe_sites.is_empty());
 }
 
-// ── Rule 1: unsafe-safety-comment ────────────────────────────────────────
-
-#[test]
-fn unsafe_without_justification_is_flagged() {
-    let report = lint_fixture("unsafe_bad");
-    let rules = rules_of(&report);
-    assert_eq!(rules.len(), 2, "{:?}", report.findings);
-    assert!(rules.iter().all(|r| *r == Rule::UnsafeSafety));
-}
-
-#[test]
-fn unsafe_justification_forms_are_accepted() {
-    assert_clean("unsafe_ok");
-}
-
-// ── Rule 2: no-panic-on-hostile-input ────────────────────────────────────
-
-#[test]
-fn panicking_constructs_on_hostile_path_are_flagged() {
-    let report = lint_fixture("panic_bad");
-    let rules = rules_of(&report);
-    assert_eq!(rules.len(), 4, "{:?}", report.findings);
-    assert!(rules.iter().all(|r| *r == Rule::NoPanicHostile));
-    let messages: String = report
-        .findings
-        .iter()
-        .map(|f| f.message.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(messages.contains("`.unwrap()`"));
-    assert!(messages.contains("`.expect()`"));
-    assert!(messages.contains("`panic!`"));
-    assert!(messages.contains("indexing"));
-}
-
-#[test]
-fn typed_errors_checked_access_and_tests_are_exempt() {
-    assert_clean("panic_ok");
-}
-
-// ── Rule 3: atomics-ordering-audit ───────────────────────────────────────
+// ── Rule 1: atomics-ordering-audit ───────────────────────────────────────
 
 #[test]
 fn undocumented_ordering_hazards_are_flagged() {
@@ -101,7 +63,7 @@ fn documented_conventions_are_accepted() {
     assert_clean("atomics_ok");
 }
 
-// ── Rule 4: no-alloc-in-hot-path ─────────────────────────────────────────
+// ── Rule 2: no-alloc-in-hot-path ─────────────────────────────────────────
 
 #[test]
 fn allocations_in_marked_functions_are_flagged() {
@@ -120,7 +82,7 @@ fn alloc_free_marked_functions_pass() {
     assert_clean("hotpath_ok");
 }
 
-// ── Rule 5: lock-order (cross-file) ──────────────────────────────────────
+// ── Rule 3: lock-order (cross-file) ──────────────────────────────────────
 
 #[test]
 fn nested_lock_acquisition_is_flagged() {
@@ -153,7 +115,7 @@ fn consistent_order_with_call_expansion_edge_is_clean() {
     );
 }
 
-// ── Rule 6: instant-outside-span ─────────────────────────────────────────
+// ── Rule 4: instant-outside-span ─────────────────────────────────────────
 
 #[test]
 fn bare_instant_in_observed_scope_is_flagged() {
@@ -168,7 +130,7 @@ fn span_idiom_timing_comment_and_tests_pass() {
     assert_clean("instant_ok");
 }
 
-// ── Rule 7: hostile-length-taint ─────────────────────────────────────────
+// ── Rule 5: hostile-length-taint ─────────────────────────────────────────
 
 #[test]
 fn unclamped_wire_lengths_reaching_sinks_are_flagged() {
@@ -189,7 +151,7 @@ fn clamped_wire_lengths_pass_and_flows_are_still_recorded() {
     assert!(report.inventory.taint_flows.iter().all(|t| t.sanitized));
 }
 
-// ── Rule 8: guard-held-across-blocking ───────────────────────────────────
+// ── Rule 6: guard-held-across-blocking ───────────────────────────────────
 
 #[test]
 fn guard_held_across_recv_is_flagged() {
@@ -210,7 +172,7 @@ fn scoped_guards_nonblocking_polls_and_justified_holds_pass() {
     assert_clean("guardblock_ok");
 }
 
-// ── Rule 9: channel-capacity-audit ───────────────────────────────────────
+// ── Rule 7: channel-capacity-audit ───────────────────────────────────────
 
 #[test]
 fn unjustified_channels_are_flagged_per_boundedness_class() {
@@ -260,8 +222,6 @@ fn reasonless_or_unknown_suppressions_are_flagged() {
 /// fails the build if a rule is added to [`Rule::ALL`] without a fixture
 /// riding here, so this list cannot silently fall behind the registry.
 const BAD_CASES: &[(&str, Rule)] = &[
-    ("unsafe_bad", Rule::UnsafeSafety),
-    ("panic_bad", Rule::NoPanicHostile),
     ("atomics_bad", Rule::AtomicsOrdering),
     ("hotpath_bad", Rule::NoAllocHotPath),
     ("suppress_bad", Rule::Suppression),
@@ -310,8 +270,6 @@ fn deny_gate_exits_nonzero_on_each_bad_fixture() {
 fn deny_gate_passes_on_good_fixtures() {
     for case in [
         "tokenizer",
-        "unsafe_ok",
-        "panic_ok",
         "atomics_ok",
         "hotpath_ok",
         "lockorder_ok",

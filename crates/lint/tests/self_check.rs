@@ -1,6 +1,7 @@
 //! The linter's reason to exist: the real tree must lint clean, through the
 //! library and through the CI-facing binary (including the JSON report).
 
+use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -112,4 +113,61 @@ fn json_report_has_findings_and_inventory() {
     assert!(js.contains("\"locks\":[{"));
     assert!(js.contains("\"edges\":[]"));
     assert!(!js.contains("\"order\":") && !js.contains("\"cycles\":"));
+}
+
+/// The trimmed lines of `manifest`'s `header` table, up to the next table.
+fn table<'a>(manifest: &'a str, header: &str) -> Vec<&'a str> {
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| *l != header)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .collect()
+}
+
+/// The compiler keeps `unsafe` inside the SIMD kernels only if every crate
+/// opts into a Cargo lints table: the workspace table forbids `unsafe_code`,
+/// every crate but `cardest-nn` inherits it, and `cardest-nn`'s own table
+/// denies `unsafe_code` and undocumented unsafe. A new crate that forgets
+/// its `[lints]` table fails here. The vendored shims under `vendor/` stand
+/// in for third-party crates and stay out of the table.
+#[test]
+fn every_crate_opts_into_the_lints_tables() {
+    let root = workspace_root();
+    let read = |p: PathBuf| fs::read_to_string(&p).expect("read manifest");
+    let workspace = read(root.join("Cargo.toml"));
+    assert!(
+        table(&workspace, "[workspace.lints.rust]").contains(&"unsafe_code = \"forbid\""),
+        "the root Cargo.toml must forbid unsafe_code under [workspace.lints.rust]"
+    );
+    let mut crates: Vec<PathBuf> = fs::read_dir(root.join("crates"))
+        .expect("crates/ lists")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.join("Cargo.toml").is_file())
+        .collect();
+    crates.sort();
+    assert!(crates.len() >= 12, "{crates:?}");
+    for dir in crates {
+        let manifest = read(dir.join("Cargo.toml"));
+        if dir.ends_with("nn") {
+            assert!(
+                table(&manifest, "[lints.rust]").contains(&"unsafe_code = \"deny\""),
+                "cardest-nn must deny unsafe_code in its [lints.rust] table"
+            );
+            let clippy = table(&manifest, "[lints.clippy]");
+            for lint in ["undocumented_unsafe_blocks", "missing_safety_doc"] {
+                assert!(
+                    clippy.contains(&format!("{lint} = \"deny\"").as_str()),
+                    "cardest-nn must deny clippy::{lint} in its [lints.clippy] table"
+                );
+            }
+        } else {
+            assert!(
+                table(&manifest, "[lints]").contains(&"workspace = true"),
+                "{} does not inherit the workspace lints table",
+                dir.display()
+            );
+        }
+    }
 }

@@ -27,13 +27,12 @@
 //! every backend produces the same bits.
 //!
 //! All `unsafe` code lives in [`kernels`], and the compiler keeps it there:
-//! this crate denies `unsafe_code`, allowing it only on the kernels' `x86`
-//! module, their SIMD dispatch and the test that calls each ISA directly
-//! (every other workspace crate forbids it outright). Clippy checks that every unsafe block states why it is sound
-//! and every unsafe function its contract.
-
-#![deny(unsafe_code)]
-#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
+//! this crate's `Cargo.toml` lints table denies `unsafe_code`, which the
+//! kernels allow only on their `x86` module, their SIMD dispatch and the
+//! test that calls each ISA directly (the workspace table forbids it in
+//! every other crate). The same table has clippy check that every unsafe
+//! block states why it is sound and every public unsafe function its
+//! contract.
 
 pub mod init;
 pub mod kernels;

@@ -10,8 +10,6 @@
 //!   *estimated* per-part cardinalities, honoring the general pigeonhole
 //!   principle (Figures 13–14).
 
-#![forbid(unsafe_code)]
-
 pub mod conjunctive;
 pub mod gph;
 

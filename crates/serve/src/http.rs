@@ -16,6 +16,18 @@
 //! pipeline. The socket ingress ([`crate::net`]) stays completely separate —
 //! a stuck scraper can never block query traffic.
 
+// Bytes from the network reach this file: no code outside the tests may
+// panic on them.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::obs_export;
 use crate::stats::ServiceStats;
 use cardest_obs::{json_str, Observer, Trace, STAGES};
@@ -230,6 +242,15 @@ fn render_trace_list(out: &mut String, traces: &[Trace]) {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 mod tests {
     use super::*;
     use cardest_obs::{ObsConfig, Stage, TraceBuilder};

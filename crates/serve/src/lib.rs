@@ -47,8 +47,6 @@
 //! println!("ĉ = {} (model epoch {})", resp.estimate, resp.epoch);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod cache;
 pub mod http;
 pub mod net;

@@ -38,6 +38,18 @@
 //! consuming, writers flush every response already in flight, then the
 //! service joins.
 
+// Bytes from the network reach this file: no code outside the tests may
+// panic on them.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::obs_export;
 use crate::service::{EstimateSource, Request, Response, ServeError, Service};
 use crate::wire::{
@@ -820,6 +832,15 @@ fn wire_to_io(e: WireError) -> std::io::Error {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 mod tests {
     use super::*;
     use crate::registry::ModelRegistry;

@@ -61,8 +61,9 @@ pub struct ServeConfig {
     pub cache_curve_points: usize,
     /// Unused: nothing reads this field. Every micro-batch's kernels run on
     /// the worker thread that collected it, and the pool's `workers` give
-    /// the concurrency across batches. Kept only so existing struct
-    /// literals that set it still compile.
+    /// the concurrency across batches. The last literal that sets it is
+    /// perfbench's (`perfbench/src/system.rs`); the change that drops that
+    /// line can delete the field and its `Default` line with it.
     pub kernel_threads: usize,
     /// Pinned compute-kernel backend for the micro-batch kernels; `None`
     /// (default) resolves [`cardest_core::KernelBackend::default_backend`]
@@ -968,7 +969,6 @@ mod tests {
             cache_capacity: 0,
             bound_tolerance: 0.0,
             cache_curve_points: 0,
-            kernel_threads: 1,
             kernel_backend: None,
             ..ServeConfig::default()
         }
@@ -1136,7 +1136,6 @@ mod tests {
                 // Seed every curve point: the first request computes once,
                 // the rest of the sweep is exact hits.
                 cache_curve_points: tau_max + 1,
-                kernel_threads: 1,
                 kernel_backend: None,
                 ..ServeConfig::default()
             },
@@ -1184,7 +1183,6 @@ mod tests {
                 cache_capacity: 4096,
                 bound_tolerance: 0.0,
                 cache_curve_points: 2,
-                kernel_threads: 1,
                 kernel_backend: None,
                 ..ServeConfig::default()
             },
@@ -1388,7 +1386,6 @@ mod tests {
                 cache_capacity: 0,
                 bound_tolerance: 0.0,
                 cache_curve_points: 0,
-                kernel_threads: 1,
                 kernel_backend: None,
                 ..ServeConfig::default()
             },
@@ -1432,7 +1429,6 @@ mod tests {
                 cache_capacity: 0, // coalescing is intra-batch, not the cache
                 bound_tolerance: 0.0,
                 cache_curve_points: 0,
-                kernel_threads: 1,
                 kernel_backend: None,
                 ..ServeConfig::default()
             },

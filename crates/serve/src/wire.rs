@@ -31,6 +31,18 @@
 //! `decode(encode(f)) == f` for every value and the proptests in
 //! `crates/serve/tests/wire_proptest.rs` can require exact round-trips.
 
+// Bytes from the network reach this file: no code outside the tests may
+// panic on them.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use cardest_data::BitVec;
 use std::io::Write;
 
@@ -777,6 +789,15 @@ impl Decoder {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 mod tests {
     use super::*;
 

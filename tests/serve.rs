@@ -70,7 +70,6 @@ fn play(
             cache_capacity,
             bound_tolerance: 0.0,
             cache_curve_points: 0,
-            kernel_threads: 1,
             kernel_backend: None,
             ..ServeConfig::default()
         },
@@ -175,7 +174,6 @@ fn hot_swap_mid_stream_is_atomic_and_epoch_tagged() {
             cache_capacity: 512,
             bound_tolerance: 0.0,
             cache_curve_points: 0,
-            kernel_threads: 1,
             kernel_backend: None,
             ..ServeConfig::default()
         },

@@ -347,7 +347,6 @@ fn load_shedding_answers_from_brackets_and_counters_reconcile() {
             cache_capacity: 1024,
             bound_tolerance: 0.0,
             cache_curve_points: 0,
-            kernel_threads: 1,
             kernel_backend: None,
             ..ServeConfig::default()
         },
@@ -489,7 +488,6 @@ fn stats_frame_counters_reconcile_exactly_with_client_observations() {
             cache_capacity: 1024,
             bound_tolerance: 0.0,
             cache_curve_points: 0,
-            kernel_threads: 1,
             kernel_backend: None,
             trace_sample: 1, // capture every trace so the pull below has data
             ..ServeConfig::default()
@@ -678,7 +676,6 @@ fn per_client_quota_rejects_excess_outstanding_requests() {
             cache_capacity: 0,
             bound_tolerance: 0.0,
             cache_curve_points: 0,
-            kernel_threads: 1,
             kernel_backend: None,
             ..ServeConfig::default()
         },
@@ -756,7 +753,6 @@ impl Leg {
                 cache_capacity: 4096,
                 bound_tolerance: 0.0,
                 cache_curve_points: 0,
-                kernel_threads: 1,
                 kernel_backend: None,
                 tracing, // default sampling: every 16th trace is captured
                 ..ServeConfig::default()
